@@ -15,10 +15,12 @@
 
 /// \file proto.h
 /// The ipso::serve wire protocol: newline-delimited JSON request/response
-/// (one object per line), reusing trace/json for parsing and the repo-wide
-/// max_digits10 double formatting so responses round-trip bit-exactly.
+/// (one object per line). parse_request decodes a line in one pass, with
+/// no document tree; responses use trace/json's max_digits10 double
+/// formatting, so they round-trip bit-exactly.
 ///
-/// Request grammar (field order free; unknown fields ignored):
+/// Request grammar (field order free; unknown fields ignored; a repeated
+/// field keeps its last value):
 ///
 ///   {"op":"fit"|"predict"|"classify"|"diagnose"|"recommend"
 ///         |"observe"|"compare"|"ping"|"stats",

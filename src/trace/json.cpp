@@ -1,12 +1,9 @@
 #include "trace/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iomanip>
 #include <limits>
-#include <optional>
 #include <sstream>
 
 namespace ipso::trace {
@@ -128,267 +125,6 @@ std::string to_json(const SparkSweepResult& result) {
   }
   os << "]}";
   return os.str();
-}
-
-std::string JsonParseError::to_string() const {
-  return message + " at offset " + std::to_string(offset);
-}
-
-const JsonValue* JsonValue::get(const std::string& key) const {
-  if (!is_object()) return nullptr;
-  const auto it = obj_.find(key);
-  return it == obj_.end() ? nullptr : &it->second;
-}
-
-std::string JsonValue::dump() const {
-  switch (kind_) {
-    case Kind::kNull: return "null";
-    case Kind::kBool: return bool_ ? "true" : "false";
-    case Kind::kNumber: return json_double(num_);
-    case Kind::kString: {
-      std::string out = "\"";
-      out += json_escape(str_);
-      out += '"';
-      return out;
-    }
-    case Kind::kArray: {
-      std::string out = "[";
-      for (std::size_t i = 0; i < arr_.size(); ++i) {
-        if (i) out += ",";
-        out += arr_[i].dump();
-      }
-      return out + "]";
-    }
-    case Kind::kObject: {
-      std::string out = "{";
-      bool first = true;
-      for (const auto& [k, v] : obj_) {
-        if (!first) out += ",";
-        first = false;
-        out += '"';
-        out += json_escape(k);
-        out += "\":";
-        out += v.dump();
-      }
-      return out + "}";
-    }
-  }
-  return "null";
-}
-
-namespace {
-
-/// Recursive-descent JSON reader. Depth is bounded so adversarial input
-/// ("[[[[...") cannot blow the stack of a serving thread.
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  Expected<JsonValue, JsonParseError> parse() {
-    JsonValue v;
-    if (auto err = parse_value(&v, 0)) return *err;
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing characters");
-    return v;
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  JsonParseError fail(std::string message) const {
-    return JsonParseError{pos_, std::move(message)};
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool consume_word(std::string_view w) {
-    if (text_.substr(pos_, w.size()) == w) {
-      pos_ += w.size();
-      return true;
-    }
-    return false;
-  }
-
-  /// Returns an error, or std::nullopt on success (value written to *out).
-  std::optional<JsonParseError> parse_value(JsonValue* out, int depth) {
-    if (depth > kMaxDepth) return fail("nesting too deep");
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return parse_object(out, depth);
-    if (c == '[') return parse_array(out, depth);
-    if (c == '"') {
-      std::string s;
-      if (auto err = parse_string(&s)) return err;
-      *out = JsonValue(std::move(s));
-      return std::nullopt;
-    }
-    if (consume_word("true")) {
-      *out = JsonValue(true);
-      return std::nullopt;
-    }
-    if (consume_word("false")) {
-      *out = JsonValue(false);
-      return std::nullopt;
-    }
-    if (consume_word("null")) {
-      *out = JsonValue();
-      return std::nullopt;
-    }
-    return parse_number(out);
-  }
-
-  std::optional<JsonParseError> parse_object(JsonValue* out, int depth) {
-    ++pos_;  // '{'
-    JsonValue::Object obj;
-    skip_ws();
-    if (consume('}')) {
-      *out = JsonValue(std::move(obj));
-      return std::nullopt;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (auto err = parse_string(&key)) return err;
-      skip_ws();
-      if (!consume(':')) return fail("expected ':' after object key");
-      JsonValue v;
-      if (auto err = parse_value(&v, depth + 1)) return err;
-      obj.insert_or_assign(std::move(key), std::move(v));
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume('}')) break;
-      return fail("expected ',' or '}' in object");
-    }
-    *out = JsonValue(std::move(obj));
-    return std::nullopt;
-  }
-
-  std::optional<JsonParseError> parse_array(JsonValue* out, int depth) {
-    ++pos_;  // '['
-    JsonValue::Array arr;
-    skip_ws();
-    if (consume(']')) {
-      *out = JsonValue(std::move(arr));
-      return std::nullopt;
-    }
-    while (true) {
-      JsonValue v;
-      if (auto err = parse_value(&v, depth + 1)) return err;
-      arr.push_back(std::move(v));
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume(']')) break;
-      return fail("expected ',' or ']' in array");
-    }
-    *out = JsonValue(std::move(arr));
-    return std::nullopt;
-  }
-
-  std::optional<JsonParseError> parse_string(std::string* out) {
-    if (!consume('"')) return fail("expected string");
-    std::string s;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        *out = std::move(s);
-        return std::nullopt;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return fail("unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': s.push_back('"'); break;
-          case '\\': s.push_back('\\'); break;
-          case '/': s.push_back('/'); break;
-          case 'n': s.push_back('\n'); break;
-          case 't': s.push_back('\t'); break;
-          case 'r': s.push_back('\r'); break;
-          case 'b': s.push_back('\b'); break;
-          case 'f': s.push_back('\f'); break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return fail("bad \\u escape digit");
-            }
-            // The protocol is ASCII; non-ASCII escapes encode as UTF-8.
-            if (code < 0x80) {
-              s.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              s.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              s.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              s.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              s.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              s.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default: return fail("unknown escape");
-        }
-        continue;
-      }
-      s.push_back(c);
-    }
-    return fail("unterminated string");
-  }
-
-  std::optional<JsonParseError> parse_number(JsonValue* out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            ((text_[pos_] == '-' || text_[pos_] == '+') &&
-             (text_[pos_ - 1] == 'e' || text_[pos_ - 1] == 'E')))) {
-      ++pos_;
-    }
-    if (pos_ == start) return fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      pos_ = start;
-      return fail("malformed number");
-    }
-    if (!std::isfinite(v)) {
-      pos_ = start;
-      return fail("number out of double range");
-    }
-    *out = JsonValue(v);
-    return std::nullopt;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-Expected<JsonValue, JsonParseError> parse_json(std::string_view text) {
-  return JsonReader(text).parse();
 }
 
 }  // namespace ipso::trace

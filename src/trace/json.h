@@ -1,25 +1,20 @@
 #pragma once
 
-#include "core/expected.h"
 #include "trace/experiment.h"
 
-#include <cstddef>
-#include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 /// \file json.h
-/// JSON support for the experiment harness and the serving layer:
-///
-///  * to_json() exporters turn sweep results into JSON for downstream
-///    plotting/analysis tooling (the usual notebook).
-///  * JsonValue + parse_json() is a minimal recursive-descent reader for
-///    the newline-delimited JSON the serving protocol speaks (serve/proto).
+/// JSON writers for the experiment harness and the serving layer:
+/// to_json() exporters turn sweep results into JSON for downstream
+/// plotting/analysis tooling (the usual notebook), and json_double() /
+/// json_escape() are the pieces every response builder uses. The serving
+/// protocol's reader lives with its grammar in serve/proto.cpp.
 ///
 /// Doubles are always emitted with max_digits10 (17 significant digits), so
-/// a parse -> serialize -> parse round trip reproduces every double
-/// bit-exactly; 12-digit output used to truncate values like 1/3.
+/// a serialize -> parse round trip reproduces every double bit-exactly;
+/// 12-digit output used to truncate values like 1/3.
 
 namespace ipso::trace {
 
@@ -41,69 +36,5 @@ std::string to_json(const MrSweepResult& result);
 
 /// A Spark sweep: speedup + factor series + per-point attribution.
 std::string to_json(const SparkSweepResult& result);
-
-/// Where and why a JSON parse failed.
-struct JsonParseError {
-  std::size_t offset = 0;   ///< byte offset into the input
-  std::string message;      ///< e.g. "expected ':' after object key"
-
-  std::string to_string() const;
-};
-
-/// A parsed JSON document node. Objects are ordered maps (deterministic
-/// iteration, which the serving layer's canonical hashing relies on).
-class JsonValue {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  using Array = std::vector<JsonValue>;
-  using Object = std::map<std::string, JsonValue>;
-
-  JsonValue() = default;  // null
-  explicit JsonValue(bool b) : kind_(Kind::kBool), bool_(b) {}
-  explicit JsonValue(double d) : kind_(Kind::kNumber), num_(d) {}
-  explicit JsonValue(std::string s)
-      : kind_(Kind::kString), str_(std::move(s)) {}
-  explicit JsonValue(Array a) : kind_(Kind::kArray), arr_(std::move(a)) {}
-  explicit JsonValue(Object o) : kind_(Kind::kObject), obj_(std::move(o)) {}
-
-  Kind kind() const noexcept { return kind_; }
-  bool is_null() const noexcept { return kind_ == Kind::kNull; }
-  bool is_bool() const noexcept { return kind_ == Kind::kBool; }
-  bool is_number() const noexcept { return kind_ == Kind::kNumber; }
-  bool is_string() const noexcept { return kind_ == Kind::kString; }
-  bool is_array() const noexcept { return kind_ == Kind::kArray; }
-  bool is_object() const noexcept { return kind_ == Kind::kObject; }
-
-  /// Typed accessors; wrong-kind access returns the default.
-  bool as_bool(bool fallback = false) const noexcept {
-    return is_bool() ? bool_ : fallback;
-  }
-  double as_number(double fallback = 0.0) const noexcept {
-    return is_number() ? num_ : fallback;
-  }
-  const std::string& as_string() const noexcept { return str_; }
-  const Array& as_array() const noexcept { return arr_; }
-  const Object& as_object() const noexcept { return obj_; }
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* get(const std::string& key) const;
-
-  /// Serializes back to compact JSON (max_digits10 doubles, sorted object
-  /// keys — the parse order). parse(dump(v)) == v for every finite value.
-  std::string dump() const;
-
- private:
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double num_ = 0.0;
-  std::string str_;
-  Array arr_;
-  Object obj_;
-};
-
-/// Parses one JSON document (trailing whitespace allowed, trailing garbage
-/// is an error). Numbers must be finite doubles.
-Expected<JsonValue, JsonParseError> parse_json(std::string_view text);
 
 }  // namespace ipso::trace
