@@ -200,11 +200,11 @@ std::size_t ServeEngine::fits_performed() const {
 
 store::TieredStore::Result ServeEngine::cached_fit(const Request& req) {
   const std::string key =
-      canonical_fit_key(req.workload, req.eta, req.ex, req.in, req.q);
+      store::canonical_fit_key(req.workload, req.eta, req.ex, req.in, req.q);
   store::TieredStore::Result result =
       store_.get_or_compute(key, [this, &req] {
         if (cfg_.fit_hook) cfg_.fit_hook();
-        return FitOutcome{fit_factors(req.workload, req.measurements())};
+        return store::FitOutcome{fit_factors(req.workload, req.measurements())};
       });
   if (result.hit) {
     instruments().cache_hits.add();

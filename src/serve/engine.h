@@ -2,9 +2,9 @@
 
 #include "models/zoo.h"
 #include "runtime/exec_pool.h"
-#include "serve/fit_cache.h"
 #include "serve/observe.h"
 #include "serve/proto.h"
+#include "store/fit_cache.h"
 #include "store/tiered_store.h"
 
 #include <cstddef>

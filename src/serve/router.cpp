@@ -1,6 +1,6 @@
 #include "serve/router.h"
 
-#include "serve/fit_cache.h"
+#include "store/fit_cache.h"
 
 #include <sstream>
 #include <utility>
@@ -173,7 +173,7 @@ void Router::route(std::string record,
   } else if (parsed.has_value() && parsed->has_observations()) {
     // Keyed: the same canonical bytes the replica's fit cache will key on,
     // so placement and caching agree about key identity by construction.
-    const std::string key = canonical_fit_key(
+    const std::string key = store::canonical_fit_key(
         parsed->workload, parsed->eta, parsed->ex, parsed->in, parsed->q);
     replica = placement_->replica_for(key);
     id = parsed->id;

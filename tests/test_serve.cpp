@@ -1,7 +1,7 @@
 #include "serve/engine.h"
-#include "serve/fit_cache.h"
 #include "serve/proto.h"
 #include "serve/server.h"
+#include "store/fit_cache.h"
 
 #include <gtest/gtest.h>
 
@@ -118,31 +118,32 @@ TEST(FitCache, CanonicalKeyIsBitExact) {
   ex.add(1, 10.0);
   stats::Series in("in"), q("q");
   const auto key = [&](double eta) {
-    return canonical_fit_key(WorkloadType::kFixedTime, eta, ex, in, q);
+    return store::canonical_fit_key(WorkloadType::kFixedTime, eta, ex, in, q);
   };
   EXPECT_EQ(key(0.3), key(0.3));
   // 0.1 + 0.2 != 0.3 in doubles: the key sees the exact bits.
   EXPECT_NE(key(0.1 + 0.2), key(0.3));
-  EXPECT_NE(
-      canonical_fit_key(WorkloadType::kFixedSize, 0.3, ex, in, q), key(0.3));
+  EXPECT_NE(store::canonical_fit_key(WorkloadType::kFixedSize, 0.3, ex, in, q),
+            key(0.3));
   // Moving a point between series changes the key even if the multiset of
   // doubles is identical.
   stats::Series in2("in");
   in2.add(1, 10.0);
   stats::Series ex2("ex");
-  EXPECT_NE(canonical_fit_key(WorkloadType::kFixedTime, 0.3, ex2, in2, q),
-            key(0.3));
+  EXPECT_NE(
+      store::canonical_fit_key(WorkloadType::kFixedTime, 0.3, ex2, in2, q),
+      key(0.3));
 }
 
 TEST(FitCache, HitsMissesAndEviction) {
-  FitCache cache(2);
-  const auto compute = [] { return FitOutcome{FitError::kNotMeasured}; };
+  store::FitCache cache(2);
+  const auto compute = [] { return store::FitOutcome{FitError::kNotMeasured}; };
   EXPECT_FALSE(cache.get_or_compute("a", compute).hit);
   EXPECT_TRUE(cache.get_or_compute("a", compute).hit);
   EXPECT_FALSE(cache.get_or_compute("b", compute).hit);
   EXPECT_FALSE(cache.get_or_compute("c", compute).hit);  // evicts "a"
   EXPECT_FALSE(cache.get_or_compute("a", compute).hit);  // miss again
-  const FitCache::Stats s = cache.stats();
+  const store::FitCache::Stats s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 4u);
   EXPECT_EQ(s.evictions, 2u);
@@ -150,8 +151,8 @@ TEST(FitCache, HitsMissesAndEviction) {
 }
 
 TEST(FitCache, ClearDropsReadyEntries) {
-  FitCache cache(4);
-  const auto compute = [] { return FitOutcome{FitError::kNotMeasured}; };
+  store::FitCache cache(4);
+  const auto compute = [] { return store::FitOutcome{FitError::kNotMeasured}; };
   cache.get_or_compute("a", compute);
   cache.get_or_compute("b", compute);
   EXPECT_EQ(cache.stats().size, 2u);
@@ -168,15 +169,15 @@ TEST(FitCache, CoalescedFollowersRefreshLruRecency) {
   // serve re-fronts "a" (LRU order [a, b]), so inserting "c" evicts "b"
   // and "a" still hits; without it "a" was the eviction victim while
   // squarely in demand.
-  FitCache cache(2);
-  const auto instant = [] { return FitOutcome{FitError::kNotMeasured}; };
+  store::FitCache cache(2);
+  const auto instant = [] { return store::FitOutcome{FitError::kNotMeasured}; };
   cache.set_coalesce_wake_hook([&] { cache.get_or_compute("b", instant); });
 
   std::thread leader([&] {
-    cache.get_or_compute("a", [&]() -> FitOutcome {
+    cache.get_or_compute("a", [&]() -> store::FitOutcome {
       // Hold the fit open until the follower is provably coalesced on it.
       EXPECT_TRUE(eventually([&] { return cache.stats().coalesced >= 1; }));
-      return FitOutcome{FitError::kNotMeasured};
+      return store::FitOutcome{FitError::kNotMeasured};
     });
   });
   std::thread follower([&] { cache.get_or_compute("a", instant); });
