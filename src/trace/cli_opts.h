@@ -5,6 +5,8 @@
 #include "trace/runner.h"
 
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -100,5 +102,18 @@ struct FlagError {
 /// value) => FlagError.
 [[nodiscard]] Expected<std::string, FlagError> string_flag_from_args(
     int argc, char** argv, const std::string& flag, std::string fallback);
+
+/// Unwraps a strict flag parse for a program that refuses to start on a
+/// bad flag: on a FlagError it prints "<program>: <error>" to stderr and
+/// exits with status 1.
+template <typename T>
+T flag_or_die(const char* program, const Expected<T, FlagError>& parsed) {
+  if (!parsed.has_value()) {
+    std::fprintf(stderr, "%s: %s\n", program,
+                 parsed.error().to_string().c_str());
+    std::exit(1);
+  }
+  return *parsed;
+}
 
 }  // namespace ipso::trace

@@ -85,31 +85,24 @@ const char kUsage[] =
     "'raw' reads newline-delimited JSON requests from stdin and prints one\n"
     "response line per request (exit 1 if any response has \"ok\":false).\n";
 
-/// Unwraps a strict flag parse (trace/cli_opts.h); a named error is fatal.
-template <typename T>
-T flag_or_die(const ipso::Expected<T, ipso::trace::FlagError>& parsed) {
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "ipso_client: %s\n",
-                 parsed.error().to_string().c_str());
-    std::exit(1);
-  }
-  return *parsed;
-}
+constexpr const char* kProgram = "ipso_client";
 
 /// Strict string flag with an empty fallback; "" means "absent".
 std::string string_flag(int argc, char** argv, const char* flag,
                         std::string fallback = "") {
-  return flag_or_die(ipso::trace::string_flag_from_args(
-      argc, argv, flag, std::move(fallback)));
+  return ipso::trace::flag_or_die(
+      kProgram, ipso::trace::string_flag_from_args(argc, argv, flag,
+                                                   std::move(fallback)));
 }
 
 /// Strict double flag; NaN means "absent" (the parser range-checks present
 /// values only, so the NaN fallback passes through untouched).
 double double_flag(int argc, char** argv, const char* flag, double min_value,
                    double max_value) {
-  return flag_or_die(ipso::trace::double_flag_from_args(
-      argc, argv, flag, std::numeric_limits<double>::quiet_NaN(), min_value,
-      max_value));
+  return ipso::trace::flag_or_die(
+      kProgram, ipso::trace::double_flag_from_args(
+                    argc, argv, flag, std::numeric_limits<double>::quiet_NaN(),
+                    min_value, max_value));
 }
 
 bool has_flag(int argc, char** argv, const char* flag) {
@@ -241,8 +234,8 @@ int main(int argc, char** argv) {
   }
 
   const std::string host = string_flag(argc, argv, "--host", "127.0.0.1");
-  const std::size_t port = flag_or_die(
-      trace::size_flag_from_args(argc, argv, "--port", 0, 0, 65535));
+  const std::size_t port = trace::flag_or_die(
+      kProgram, trace::size_flag_from_args(argc, argv, "--port", 0, 0, 65535));
   if (port == 0) {
     std::fprintf(stderr, "ipso_client: --port is required\n");
     return 1;
@@ -257,7 +250,8 @@ int main(int argc, char** argv) {
   }
   const serve::Proto proto =
       proto_text == "binary" ? serve::Proto::kBinary : serve::Proto::kJson;
-  const std::size_t pipeline = flag_or_die(
+  const std::size_t pipeline = trace::flag_or_die(
+      kProgram,
       trace::size_flag_from_args(argc, argv, "--pipeline", 1, 1, 65536));
 
   serve::Client client(proto);

@@ -31,6 +31,8 @@
 
 namespace {
 
+constexpr const char* kProgram = "ipso_router";
+
 volatile std::sig_atomic_t g_stop = 0;
 
 void on_signal(int) { g_stop = 1; }
@@ -51,17 +53,6 @@ const char kUsage[] =
     "  --trace-out FILE  write a Chrome trace of the run on exit\n"
     "  --help, -h        this text\n"
     "  --version         build-info string\n";
-
-/// Unwraps a strict flag parse (trace/cli_opts.h); a named error is fatal.
-template <typename T>
-T flag_or_die(const ipso::Expected<T, ipso::trace::FlagError>& parsed) {
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "ipso_router: %s\n",
-                 parsed.error().to_string().c_str());
-    std::exit(1);
-  }
-  return *parsed;
-}
 
 /// "h1:p1,h2:p2,..." -> endpoints; returns false on any malformed element.
 bool parse_replicas(const std::string& list,
@@ -107,21 +98,25 @@ int main(int argc, char** argv) {
   obs::TraceSession trace_session(trace::trace_out_from_args(argc, argv));
 
   serve::RouterConfig cfg;
-  cfg.host = flag_or_die(
+  cfg.host = trace::flag_or_die(
+      kProgram,
       trace::string_flag_from_args(argc, argv, "--host", "127.0.0.1"));
-  cfg.port = static_cast<std::uint16_t>(flag_or_die(
-      trace::size_flag_from_args(argc, argv, "--port", 0, 0, 65535)));
-  cfg.shards = flag_or_die(
-      trace::size_flag_from_args(argc, argv, "--shards", 1, 1, 64));
-  cfg.placement = flag_or_die(
+  cfg.port = static_cast<std::uint16_t>(trace::flag_or_die(
+      kProgram, trace::size_flag_from_args(argc, argv, "--port", 0, 0, 65535)));
+  cfg.shards = trace::flag_or_die(
+      kProgram, trace::size_flag_from_args(argc, argv, "--shards", 1, 1, 64));
+  cfg.placement = trace::flag_or_die(
+      kProgram,
       trace::string_flag_from_args(argc, argv, "--placement", "hash"));
-  cfg.connections_per_replica = flag_or_die(trace::size_flag_from_args(
-      argc, argv, "--conns-per-replica", 2, 1, 256));
-  cfg.max_upstream_batch = flag_or_die(trace::size_flag_from_args(
-      argc, argv, "--upstream-batch", 64, 1, 65536));
+  cfg.connections_per_replica = trace::flag_or_die(
+      kProgram, trace::size_flag_from_args(argc, argv, "--conns-per-replica",
+                                          2, 1, 256));
+  cfg.max_upstream_batch = trace::flag_or_die(
+      kProgram, trace::size_flag_from_args(argc, argv, "--upstream-batch", 64,
+                                          1, 65536));
 
-  const std::string replicas = flag_or_die(
-      trace::string_flag_from_args(argc, argv, "--replicas", ""));
+  const std::string replicas = trace::flag_or_die(
+      kProgram, trace::string_flag_from_args(argc, argv, "--replicas", ""));
   if (replicas.empty() || !parse_replicas(replicas, &cfg.replicas)) {
     std::fprintf(stderr,
                  "ipso_router: --replicas HOST:PORT[,HOST:PORT...] is "

@@ -34,6 +34,8 @@
 
 namespace {
 
+constexpr const char* kProgram = "ipso_serve";
+
 volatile std::sig_atomic_t g_stop = 0;
 
 void on_signal(int) { g_stop = 1; }
@@ -59,17 +61,6 @@ const char kUsage[] =
     "  --help, -h        this text\n"
     "  --version         build-info string\n";
 
-/// Unwraps a strict flag parse (trace/cli_opts.h); a named error is fatal.
-template <typename T>
-T flag_or_die(const ipso::Expected<T, ipso::trace::FlagError>& parsed) {
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "ipso_serve: %s\n",
-                 parsed.error().to_string().c_str());
-    std::exit(1);
-  }
-  return *parsed;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -90,24 +81,27 @@ int main(int argc, char** argv) {
   obs::TraceSession trace_session(trace::trace_out_from_args(argc, argv));
 
   serve::ServeConfig engine_cfg;
-  engine_cfg.threads = flag_or_die(
+  engine_cfg.threads = trace::flag_or_die(
+      kProgram,
       trace::size_flag_from_args(argc, argv, "--threads", 0, 0, 1024));
-  engine_cfg.queue_capacity = flag_or_die(
-      trace::size_flag_from_args(argc, argv, "--queue-cap", 256, 1));
-  engine_cfg.cache_capacity = flag_or_die(
-      trace::size_flag_from_args(argc, argv, "--cache-cap", 128, 1));
-  engine_cfg.store_dir = flag_or_die(
-      trace::string_flag_from_args(argc, argv, "--store-dir", ""));
-  engine_cfg.default_deadline_ms = flag_or_die(trace::double_flag_from_args(
-      argc, argv, "--deadline-ms", 0.0, 0.0, 1e9));
+  engine_cfg.queue_capacity = trace::flag_or_die(
+      kProgram, trace::size_flag_from_args(argc, argv, "--queue-cap", 256, 1));
+  engine_cfg.cache_capacity = trace::flag_or_die(
+      kProgram, trace::size_flag_from_args(argc, argv, "--cache-cap", 128, 1));
+  engine_cfg.store_dir = trace::flag_or_die(
+      kProgram, trace::string_flag_from_args(argc, argv, "--store-dir", ""));
+  engine_cfg.default_deadline_ms = trace::flag_or_die(
+      kProgram, trace::double_flag_from_args(argc, argv, "--deadline-ms", 0.0,
+                                            0.0, 1e9));
 
   serve::ServerConfig server_cfg;
-  server_cfg.host = flag_or_die(
+  server_cfg.host = trace::flag_or_die(
+      kProgram,
       trace::string_flag_from_args(argc, argv, "--host", "127.0.0.1"));
-  server_cfg.port = static_cast<std::uint16_t>(flag_or_die(
-      trace::size_flag_from_args(argc, argv, "--port", 0, 0, 65535)));
-  server_cfg.shards = flag_or_die(
-      trace::size_flag_from_args(argc, argv, "--shards", 1, 1, 64));
+  server_cfg.port = static_cast<std::uint16_t>(trace::flag_or_die(
+      kProgram, trace::size_flag_from_args(argc, argv, "--port", 0, 0, 65535)));
+  server_cfg.shards = trace::flag_or_die(
+      kProgram, trace::size_flag_from_args(argc, argv, "--shards", 1, 1, 64));
 
   serve::ServeEngine engine(engine_cfg);
   if (!engine.store_status()) {
