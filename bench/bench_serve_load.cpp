@@ -646,8 +646,9 @@ bool run_zoo_contract() {
     std::string out = "\"observations\":[";
     for (std::size_t i = 0; i < s.size(); ++i) {
       if (i) out += ",";
-      out += "[" + trace::json_double(s[i].x) + "," +
-             trace::json_double(s[i].y) + "]";
+      out += "[";
+      out += trace::json_double(s[i].x) + "," + trace::json_double(s[i].y) +
+             "]";
     }
     return out + "]";
   };

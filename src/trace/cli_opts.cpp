@@ -196,11 +196,12 @@ Expected<std::size_t, FlagError> size_flag_from_args(
                                std::string(v) + "'"};
   }
   if (n < min_value || n > max_value) {
-    std::string range = "[" + std::to_string(min_value) + ", " +
-                        (max_value == std::numeric_limits<std::size_t>::max()
-                             ? std::string("inf")
-                             : std::to_string(max_value)) +
-                        "]";
+    std::string range = "[";
+    range += std::to_string(min_value) + ", " +
+             (max_value == std::numeric_limits<std::size_t>::max()
+                  ? std::string("inf")
+                  : std::to_string(max_value)) +
+             "]";
     return FlagError{flag,
                      "value " + std::to_string(n) + " outside " + range};
   }

@@ -246,8 +246,10 @@ TEST(AnalyticPeak, MatchesGoldenSectionSearch) {
 }
 
 TEST(AnalyticPeak, RejectsNonPeakedParameters) {
-  EXPECT_THROW(analytic_peak_eta_one(0.01, 1.0), std::invalid_argument);
-  EXPECT_THROW(analytic_peak_eta_one(0.0, 2.0), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(analytic_peak_eta_one(0.01, 1.0)),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(analytic_peak_eta_one(0.0, 2.0)),
+               std::invalid_argument);
 }
 
 TEST(Classify, BoundMatchesModelLimit) {

@@ -40,12 +40,14 @@ TEST(Deterministic, IdentityAtNOne) {
 
 TEST(Deterministic, ThrowsOnBadN) {
   const auto f = no_overhead_fixed_time();
-  EXPECT_THROW(speedup_deterministic(f, 0.5, 0.5), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(speedup_deterministic(f, 0.5, 0.5)),
+               std::invalid_argument);
 }
 
 TEST(Deterministic, ThrowsOnBadEta) {
   const auto f = no_overhead_fixed_time();
-  EXPECT_THROW(speedup_deterministic(f, 1.5, 2.0), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(speedup_deterministic(f, 1.5, 2.0)),
+               std::invalid_argument);
 }
 
 TEST(Deterministic, OverheadReducesSpeedup) {
@@ -96,7 +98,8 @@ TEST(Statistical, StragglersReduceSpeedup) {
 TEST(Statistical, ThrowsOnZeroBaseline) {
   ScalingFactors f = no_overhead_fixed_time();
   StatisticalInputs m{1.0, 0.0, 0.0};
-  EXPECT_THROW(speedup_statistical(f, m, 2.0), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(speedup_statistical(f, m, 2.0)),
+               std::invalid_argument);
 }
 
 TEST(Asymptotic, MatchesGustafsonWhenClean) {

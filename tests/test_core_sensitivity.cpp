@@ -52,7 +52,8 @@ TEST(Sensitivities, MatchesFiniteDifferenceOfModel) {
 }
 
 TEST(Sensitivities, RejectsBadN) {
-  EXPECT_THROW(sensitivities(sort_like(), 0.5), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(sensitivities(sort_like(), 0.5)),
+               std::invalid_argument);
 }
 
 TEST(Gains, PathologicalWorkloadGainsMostFromGamma) {
@@ -72,9 +73,9 @@ TEST(Gains, GustafsonWorkloadGainsFromNothingMuch) {
 }
 
 TEST(Gains, ValidatesImprovement) {
-  EXPECT_THROW(improvement_gains(sort_like(), 8.0, 0.0),
+  EXPECT_THROW(static_cast<void>(improvement_gains(sort_like(), 8.0, 0.0)),
                std::invalid_argument);
-  EXPECT_THROW(improvement_gains(sort_like(), 8.0, 1.0),
+  EXPECT_THROW(static_cast<void>(improvement_gains(sort_like(), 8.0, 1.0)),
                std::invalid_argument);
 }
 

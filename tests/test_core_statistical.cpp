@@ -182,8 +182,10 @@ TEST(StatSpeedup, FractionalNInterpolatesExpectedMax) {
 TEST(StatSpeedup, ValidatesArguments) {
   const auto f = gustafson_like();
   DeterministicTime d;
-  EXPECT_THROW(speedup_statistical(f, 0.5, d, 0.5), std::invalid_argument);
-  EXPECT_THROW(speedup_statistical(f, 1.5, d, 2.0), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(speedup_statistical(f, 0.5, d, 0.5)),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(speedup_statistical(f, 1.5, d, 2.0)),
+               std::invalid_argument);
 }
 
 TEST(StatSpeedup, CurveHelper) {

@@ -80,9 +80,10 @@ TEST(CompetitiveLimit, TinyWhenSerialFractionDominates) {
 TEST(CompetitiveLimit, ValidatesArguments) {
   ScalingFactors f{identity_factor(), constant_factor(1.0),
                    constant_factor(0.0)};
-  EXPECT_THROW(scale_out_competitive_limit(f, 1.0, 0.0, 10.0),
-               std::invalid_argument);
-  EXPECT_THROW(scale_out_competitive_limit(f, 1.0, 0.5, 0.5),
+  EXPECT_THROW(
+      static_cast<void>(scale_out_competitive_limit(f, 1.0, 0.0, 10.0)),
+      std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(scale_out_competitive_limit(f, 1.0, 0.5, 0.5)),
                std::invalid_argument);
 }
 

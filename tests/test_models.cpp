@@ -451,8 +451,8 @@ TEST(ServeObserve, InlineCompareMatchesKeyedScoreboard) {
     engine.handle(observe_request("job", n, s));
     if (!first) inline_req += ",";
     first = false;
-    inline_req += "[" + trace::json_double(n) + "," + trace::json_double(s) +
-                  "]";
+    inline_req += "[";
+    inline_req += trace::json_double(n) + "," + trace::json_double(s) + "]";
   }
   inline_req += "]}";
 
@@ -521,7 +521,8 @@ TEST(ServeObserve, WarmRestartServesCompareByteIdenticalWithoutRefit) {
   for (const double n : {1.0, 2.0, 4.0, 8.0, 16.0, 32.0}) {
     if (!first) inline_req += ",";
     first = false;
-    inline_req += "[" + trace::json_double(n) + "," +
+    inline_req += "[";
+    inline_req += trace::json_double(n) + "," +
                   trace::json_double(n / (1.0 + 0.03 * n)) + "]";
   }
   inline_req += "]}";

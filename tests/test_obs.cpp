@@ -104,7 +104,9 @@ TEST_F(ObsTest, RegistryCapReturnsInvalidInstrument) {
   MetricsRegistry reg;
   std::size_t last = 0;
   for (std::size_t i = 0; i < kMaxGauges; ++i) {
-    last = reg.gauge_id("g" + std::to_string(i));
+    std::string name = "g";
+    name += std::to_string(i);
+    last = reg.gauge_id(name);
     EXPECT_NE(last, kInvalidInstrument);
   }
   EXPECT_EQ(reg.gauge_id("one-too-many"), kInvalidInstrument);
@@ -139,8 +141,8 @@ TEST_F(ObsTest, RingOverwritesOldestAndCountsDrops) {
   Tracer small(4);
   const SpanRecord base{"s", "t", "", 0, 0.0, 1.0};
   for (int i = 0; i < 6; ++i) {
-    SpanRecord rec = base;
-    rec.name = "s" + std::to_string(i);
+    SpanRecord rec = base;  // named "s"
+    rec.name += std::to_string(i);
     small.record(rec);
   }
   const auto spans = small.spans();
