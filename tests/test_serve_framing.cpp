@@ -528,6 +528,16 @@ TEST_F(ServeWireTest, BackpressurePausesReadsInsteadOfBufferingUnbounded) {
   for (std::size_t f = 0; f < kFrames; ++f) wire += codec.encode(records);
   ASSERT_TRUE(net::send_all(raw, wire));
 
+  // Hold off reading until the server stalls. Responses to a socket nobody
+  // reads overflow the kernel's buffers, so the watermark must trip; a
+  // client that reads as soon as send_all returns drains a fast server's
+  // output as it is produced, and whether it stalls is then a race. The
+  // wait is bounded: a server that never stalls fails the check below.
+  for (int spin = 0;
+       spin < 1000 && server.net_stats().backpressure_stalls == 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
   // Now start reading; every response must still arrive, one frame per
   // request frame, in order.
   std::string buf;
