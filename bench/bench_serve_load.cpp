@@ -94,6 +94,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -230,34 +231,24 @@ void print_mutex_profile() {
   }
 }
 
-int flag_int(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == flag) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
+constexpr const char* kProgram = "bench_serve_load";
+
+/// Strict "--flag N" whose minimum is the smallest shape the bench runs;
+/// a malformed or out-of-range value exits 1 naming the flag.
+std::size_t size_flag(int argc, char** argv, const char* flag,
+                      std::size_t fallback, std::size_t min_value) {
+  return ipso::trace::flag_or_die(
+      kProgram, ipso::trace::size_flag_from_args(
+                    argc, argv, flag, fallback, min_value,
+                    std::numeric_limits<int>::max()));
 }
 
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == flag) return true;
-  }
-  return false;
-}
-
-std::vector<std::size_t> flag_list(int argc, char** argv, const char* flag,
+/// Strict "--flag 1,16,256" of positive counts.
+std::vector<std::size_t> list_flag(int argc, char** argv, const char* flag,
                                    std::vector<std::size_t> fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) != flag) continue;
-    std::vector<std::size_t> out;
-    std::istringstream is(argv[i + 1]);
-    std::string tok;
-    while (std::getline(is, tok, ',')) {
-      const long v = std::atol(tok.c_str());
-      if (v > 0) out.push_back(static_cast<std::size_t>(v));
-    }
-    if (!out.empty()) return out;
-  }
-  return fallback;
+  return ipso::trace::flag_or_die(
+      kProgram, ipso::trace::size_list_flag_from_args(
+                    argc, argv, flag, std::move(fallback), 1));
 }
 
 /// Raises RLIMIT_NOFILE toward `want` fds; returns the resulting soft
@@ -381,13 +372,6 @@ NetCell run_net_cell(ipso::serve::Proto proto, std::size_t conns,
   cell.reqs_per_s =
       elapsed > 0 ? static_cast<double>(cell.requests) / elapsed : 0.0;
   return cell;
-}
-
-double flag_double(int argc, char** argv, const char* flag, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == flag) return std::strtod(argv[i + 1], nullptr);
-  }
-  return fallback;
 }
 
 // ---------------------------------------------------------------------------
@@ -711,18 +695,19 @@ bool run_zoo_contract() {
 int run_router_bench(int argc, char** argv) {
   using namespace ipso;
 
-  const std::size_t total = static_cast<std::size_t>(
-      std::max(64, flag_int(argc, argv, "--router-requests", 2400)));
-  const int points = std::max(8, flag_int(argc, argv, "--router-points", 96));
-  const std::size_t keys = static_cast<std::size_t>(
-      std::max(4, flag_int(argc, argv, "--router-keys", 48)));
-  const double skew = flag_double(argc, argv, "--zipf", 1.2);
+  const std::size_t total =
+      size_flag(argc, argv, "--router-requests", 2400, 64);
+  const int points =
+      static_cast<int>(size_flag(argc, argv, "--router-points", 96, 8));
+  const std::size_t keys = size_flag(argc, argv, "--router-keys", 48, 4);
+  const double skew = trace::flag_or_die(
+      kProgram,
+      trace::double_flag_from_args(argc, argv, "--zipf", 1.2, 0.0,
+                                   std::numeric_limits<double>::max()));
   const std::vector<std::size_t> replica_axis =
-      flag_list(argc, argv, "--router-replicas", {1, 2, 3});
-  const std::size_t conns = static_cast<std::size_t>(
-      std::max(1, flag_int(argc, argv, "--router-conns", 4)));
-  const std::size_t batch = static_cast<std::size_t>(
-      std::max(1, flag_int(argc, argv, "--router-batch", 16)));
+      list_flag(argc, argv, "--router-replicas", {1, 2, 3});
+  const std::size_t conns = size_flag(argc, argv, "--router-conns", 4, 1);
+  const std::size_t batch = size_flag(argc, argv, "--router-batch", 16, 1);
   const std::vector<std::string> placements = {"hash", "range", "affinity"};
 
   std::printf("# bench_serve_load --router: %zu requests over %zu keys "
@@ -843,18 +828,10 @@ int run_router_bench(int argc, char** argv) {
 /// in a persisted segment is skipped with a counter and re-fit, never a
 /// crash or a wrong answer). Returns false on contract violation.
 bool run_store_phase(const std::vector<std::string>& workload,
-                     std::size_t threads, int argc, char** argv) {
+                     std::size_t threads, std::string store_dir) {
   namespace fs = std::filesystem;
   using namespace ipso;
 
-  const auto dir_flag =
-      trace::string_flag_from_args(argc, argv, "--store-dir", "");
-  if (!dir_flag.has_value()) {
-    std::printf("CONTRACT VIOLATION (C9): %s\n",
-                dir_flag.error().to_string().c_str());
-    return false;
-  }
-  std::string store_dir = *dir_flag;
   bool own_dir = false;
   if (store_dir.empty()) {
     std::string tmpl =
@@ -895,7 +872,7 @@ bool run_store_phase(const std::vector<std::string>& workload,
     recovered = engine.store_stats().disk.records;
     warm = run_phase(engine, workload);
     warm_fits = engine.fits_performed();
-    disk_hits = engine.stats().disk_hits;
+    disk_hits = engine.store_stats().tier.disk_hits;
   }
   print_phase("cold-start", cold);
   print_phase("warm-start", warm);
@@ -1009,15 +986,25 @@ int main(int argc, char** argv) {
   }
 
   obs::TraceSession trace_session(trace::trace_out_from_args(argc, argv));
-  if (has_flag(argc, argv, "--router")) {
+  if (trace::has_flag(argc, argv, "--router")) {
     return run_router_bench(argc, argv);
   }
   // Default shape: few distinct fits, each over a long observation trace.
   // The changepoint search is O(points^2) while request parsing is
   // O(points), so large traces are exactly the workload the fit cache is
   // built to amortize.
-  const int requests = std::max(8, flag_int(argc, argv, "--requests", 20));
-  const int points = std::max(8, flag_int(argc, argv, "--points", 4096));
+  const int requests =
+      static_cast<int>(size_flag(argc, argv, "--requests", 20, 8));
+  const int points =
+      static_cast<int>(size_flag(argc, argv, "--points", 4096, 8));
+  std::vector<std::size_t> conns_axis =
+      list_flag(argc, argv, "--conns", {1, 16, 256, 1024});
+  const std::vector<std::size_t> batch_axis =
+      list_flag(argc, argv, "--batch", {1, 16, 64});
+  const std::size_t net_requests =
+      size_flag(argc, argv, "--net-requests", 16384, 1);
+  const std::string store_dir = trace::flag_or_die(
+      kProgram, trace::string_flag_from_args(argc, argv, "--store-dir", ""));
   const std::size_t threads =
       trace::runner_config_from_args(argc, argv).threads;
 
@@ -1068,14 +1055,14 @@ int main(int argc, char** argv) {
                   cold.responses.size(), cold.responses.size());
     }
 
-    const serve::ServeStats s = engine.stats();
+    const store::FitCache::Stats c = engine.store_stats().cache;
     std::printf("cache: hits=%zu misses=%zu (fits performed: %zu)\n",
-                s.cache_hits, s.cache_misses, engine.fits_performed());
+                c.hits, c.misses, engine.fits_performed());
   }
 
   // --- warm restart: the persistent tier ------------------------------
-  if (!has_flag(argc, argv, "--no-store")) {
-    if (!run_store_phase(workload, threads, argc, argv)) ok = false;
+  if (!trace::has_flag(argc, argv, "--no-store")) {
+    if (!run_store_phase(workload, threads, store_dir)) ok = false;
   }
 
   // --- model zoo: C11 shape-driven selection --------------------------
@@ -1128,14 +1115,7 @@ int main(int argc, char** argv) {
   }
 
   // --- socket sweep: connections x batch x protocol -------------------
-  if (!has_flag(argc, argv, "--no-net")) {
-    std::vector<std::size_t> conns_axis =
-        flag_list(argc, argv, "--conns", {1, 16, 256, 1024});
-    const std::vector<std::size_t> batch_axis =
-        flag_list(argc, argv, "--batch", {1, 16, 64});
-    const std::size_t net_requests = static_cast<std::size_t>(
-        std::max(1, flag_int(argc, argv, "--net-requests", 16384)));
-
+  if (!trace::has_flag(argc, argv, "--no-net")) {
     const std::size_t max_conns =
         *std::max_element(conns_axis.begin(), conns_axis.end());
     const std::size_t fd_limit = raise_fd_limit(2 * max_conns + 256);

@@ -17,18 +17,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Cached-id obs instruments (one relaxed load per site when disabled).
+/// Roll-over size of the persistent tier's active segment.
+constexpr std::uint64_t kStoreSegmentBytes = 4ull << 20;
+
+/// Cached-id obs histograms (one relaxed load per site when disabled).
+/// Counts live in ServeStats and the store's stats, not here.
 struct Instruments {
-  obs::Counter received{"serve.requests_received"};
-  obs::Counter completed{"serve.requests_completed"};
-  obs::Counter overloaded{"serve.requests_overloaded"};
-  obs::Counter draining{"serve.requests_rejected_draining"};
-  obs::Counter deadline{"serve.requests_deadline_exceeded"};
-  obs::Counter parse_errors{"serve.requests_parse_error"};
-  obs::Counter cache_hits{"serve.fit_cache_hits"};
-  obs::Counter cache_misses{"serve.fit_cache_misses"};
-  obs::Counter coalesced{"serve.fit_coalesced"};
-  obs::Gauge queue_depth{"serve.queue_depth"};
   obs::Histogram latency{"serve.request_latency_seconds"};
   obs::Histogram queue_wait{"serve.queue_wait_seconds"};
 };
@@ -49,7 +43,7 @@ SpeedupPredictor predictor_from_params(const AsymptoticParams& p) {
 ServeEngine::ServeEngine(ServeConfig cfg)
     : cfg_(std::move(cfg)),
       store_(store::TieredStoreConfig{cfg_.cache_capacity, cfg_.store_dir,
-                                      cfg_.store_segment_bytes}),
+                                      kStoreSegmentBytes}),
       store_status_(store_.open()),
       observations_(cfg_.observe),
       pool_(cfg_.threads) {}
@@ -74,8 +68,6 @@ void ServeEngine::submit_async(std::string line,
       ++stats_.received;  // every arrival counts, rejected or not
       ++stats_.parse_errors;
     }
-    instruments().received.add();
-    instruments().parse_errors.add();
     done(error_response({}, Op::kUnknown, "parse_error", parsed.error()));
     return;
   }
@@ -89,8 +81,6 @@ void ServeEngine::submit_async(std::string line,
     if (draining_) {
       ++stats_.received;
       ++stats_.rejected_draining;
-      instruments().received.add();
-      instruments().draining.add();
       lock.unlock();
       done(error_response(req.id, req.op, "draining",
                           "server is draining; not accepting "
@@ -100,8 +90,6 @@ void ServeEngine::submit_async(std::string line,
     if (stats_.queue_depth >= cfg_.queue_capacity) {
       ++stats_.received;
       ++stats_.overloaded;
-      instruments().received.add();
-      instruments().overloaded.add();
       lock.unlock();
       done(error_response(
           req.id, req.op, "overloaded",
@@ -113,8 +101,6 @@ void ServeEngine::submit_async(std::string line,
     ++stats_.queue_depth;
     stats_.peak_queue_depth =
         std::max(stats_.peak_queue_depth, stats_.queue_depth);
-    instruments().received.add();
-    instruments().queue_depth.set(static_cast<double>(stats_.queue_depth));
 
     // Enqueue while still holding mu_: once drain() observes draining_ set,
     // every admitted request is already in the pool queue, so wait_idle()
@@ -135,7 +121,6 @@ void ServeEngine::submit_async(std::string line,
           sync::MutexLock lock(mu_);
           ++stats_.deadline_expired;
         }
-        instruments().deadline.add();
         response = error_response(
             req.id, req.op, "deadline_exceeded",
             "request spent longer than its deadline in the queue");
@@ -152,9 +137,7 @@ void ServeEngine::submit_async(std::string line,
         sync::MutexLock lock(mu_);
         if (!expired) ++stats_.completed;
         --stats_.queue_depth;
-        instruments().queue_depth.set(static_cast<double>(stats_.queue_depth));
       }
-      if (!expired) instruments().completed.add();
       done(std::move(response));
     });
   }
@@ -181,17 +164,8 @@ bool ServeEngine::draining() const {
 }
 
 ServeStats ServeEngine::stats() const {
-  ServeStats out;
-  {
-    sync::MutexLock lock(mu_);
-    out = stats_;
-  }
-  const store::TieredStore::Stats store = store_.stats();
-  out.cache_hits = store.cache.hits;
-  out.cache_misses = store.cache.misses;
-  out.coalesced = store.cache.coalesced;
-  out.disk_hits = store.tier.disk_hits;
-  return out;
+  sync::MutexLock lock(mu_);
+  return stats_;
 }
 
 std::size_t ServeEngine::fits_performed() const {
@@ -201,19 +175,10 @@ std::size_t ServeEngine::fits_performed() const {
 store::TieredStore::Result ServeEngine::cached_fit(const Request& req) {
   const std::string key =
       store::canonical_fit_key(req.workload, req.eta, req.ex, req.in, req.q);
-  store::TieredStore::Result result =
-      store_.get_or_compute(key, [this, &req] {
-        if (cfg_.fit_hook) cfg_.fit_hook();
-        return store::FitOutcome{fit_factors(req.workload, req.measurements())};
-      });
-  if (result.hit) {
-    instruments().cache_hits.add();
-  } else if (result.coalesced) {
-    instruments().coalesced.add();
-  } else {
-    instruments().cache_misses.add();
-  }
-  return result;
+  return store_.get_or_compute(key, [this, &req] {
+    if (cfg_.fit_hook) cfg_.fit_hook();
+    return store::FitOutcome{fit_factors(req.workload, req.measurements())};
+  });
 }
 
 std::string ServeEngine::process(const Request& req) {
@@ -403,13 +368,6 @@ std::string ServeEngine::dispatch_compare(const Request& req) {
           if (cfg_.fit_hook) cfg_.fit_hook();
           return store::FitOutcome{models::IpsoModel::fit_observations(o)};
         });
-    if (r.hit) {
-      instruments().cache_hits.add();
-    } else if (r.coalesced) {
-      instruments().coalesced.add();
-    } else {
-      instruments().cache_misses.add();
-    }
     return r.outcome->fits;
   };
   const Expected<models::ZooResult> zoo = zoo_.compare(obs, hook);

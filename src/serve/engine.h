@@ -38,9 +38,11 @@
 ///    and returns once every admitted request has completed; the destructor
 ///    drains implicitly.
 ///
-/// Everything is instrumented through ipso::obs: queue-depth gauge, cache
-/// hit/miss/coalesce counters, per-request latency histograms, and a span
-/// per request (visible in the Chrome trace when --trace-out is active).
+/// Counters: admission outcomes in ServeStats (stats()), cache and disk
+/// tier outcomes in store_stats(), observation windows in observe_stats();
+/// each event is counted once, always on. ipso::obs adds per-request
+/// latency and queue-wait histograms and a span per request (visible in
+/// the Chrome trace when --trace-out is active).
 
 namespace ipso::serve {
 
@@ -56,8 +58,6 @@ struct ServeConfig {
   /// fits evicted from DRAM spill to versioned checksummed segments and a
   /// restarted engine serves them back without re-fitting (warm restart).
   std::string store_dir;
-  /// Active segment roll-over size for the persistent tier.
-  std::uint64_t store_segment_bytes = 4ull << 20;
   /// Deadline applied when a request carries none; 0 = no deadline.
   double default_deadline_ms = 0.0;
   /// Streaming observation windows behind the observe/compare ops:
@@ -69,7 +69,9 @@ struct ServeConfig {
   std::function<void()> fit_hook;
 };
 
-/// Monotonic counters; snapshot via ServeEngine::stats().
+/// Monotonic admission counters owned by the engine; snapshot via
+/// ServeEngine::stats(). Cache and disk-tier counters live in the store
+/// (ServeEngine::store_stats()).
 ///
 /// Conservation identity: every arrival is counted in `received` and ends
 /// up in exactly one outcome bucket, so at all times
@@ -86,10 +88,6 @@ struct ServeStats {
   std::size_t rejected_draining = 0; ///< rejected: drain in progress
   std::size_t deadline_expired = 0;  ///< answered deadline_exceeded
   std::size_t parse_errors = 0;      ///< rejected before admission
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;      ///< DRAM misses (disk hit or real fit)
-  std::size_t coalesced = 0;         ///< fits shared with an in-flight one
-  std::size_t disk_hits = 0;         ///< misses served from the disk tier
   std::size_t queue_depth = 0;       ///< admitted right now
   std::size_t peak_queue_depth = 0;  ///< high-water mark of queue_depth
 };
@@ -132,7 +130,7 @@ class ServeEngine {
   /// True once drain() has begun.
   bool draining() const IPSO_EXCLUDES(mu_);
 
-  /// Counter snapshot (includes live cache stats).
+  /// Admission counter snapshot.
   ServeStats stats() const IPSO_EXCLUDES(mu_);
 
   /// Full tiered-store snapshot (DRAM + tier-crossing + disk counters).

@@ -38,23 +38,11 @@ constexpr std::size_t kReadShrinkBytes = 1u << 20;
 /// reading before force-closing them.
 constexpr std::chrono::seconds kFinishFlushDeadline{2};
 
-struct Instruments {
-  obs::Counter wakeups{"serve.net.loop_wakeups"};
-  obs::Counter frames_in{"serve.net.frames_in"};
-  obs::Counter frames_out{"serve.net.frames_out"};
-  obs::Counter requests_in{"serve.net.requests_in"};
-  obs::Counter bytes_in{"serve.net.bytes_in"};
-  obs::Counter bytes_out{"serve.net.bytes_out"};
-  obs::Counter stalls{"serve.net.backpressure_stalls"};
-  obs::Counter protocol_errors{"serve.net.protocol_errors"};
-  obs::Counter accepted{"serve.net.connections_accepted"};
-  obs::Gauge connections{"serve.net.connections"};
-  obs::Histogram batch_records{"serve.net.batch_records"};
-};
-
-Instruments& instruments() {
-  static Instruments i;
-  return i;
+/// Records per decoded batch (obs histogram; the counts themselves live
+/// in AtomicStats).
+obs::Histogram& batch_records() {
+  static obs::Histogram h{"serve.net.batch_records"};
+  return h;
 }
 
 }  // namespace
@@ -108,8 +96,9 @@ struct EventLoopServer::Shard {
   Clock::time_point finish_deadline{};
 };
 
-EventLoopServer::EventLoopServer(RequestHandler handler, EventLoopConfig cfg)
-    : handler_(std::move(handler)), cfg_(std::move(cfg)) {
+EventLoopServer::EventLoopServer(RequestHandler handler,
+                                 const ServerConfig& cfg)
+    : handler_(std::move(handler)), cfg_(cfg) {
   if (cfg_.shards == 0) cfg_.shards = 1;
   if (cfg_.write_low_watermark > cfg_.write_high_watermark) {
     cfg_.write_low_watermark = cfg_.write_high_watermark / 2;
@@ -248,7 +237,6 @@ void EventLoopServer::shard_loop(Shard& s) {
       break;
     }
     stats_.wakeups.fetch_add(1, std::memory_order_relaxed);
-    instruments().wakeups.add();
 
     for (int i = 0; i < n; ++i) {
       const epoll_event& ev = events[static_cast<std::size_t>(i)];
@@ -345,7 +333,6 @@ void EventLoopServer::handle_accept(Shard& s) {
     if (fd == -2) break;   // hard error; retry on next readiness
     const std::size_t serial =
         stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    instruments().accepted.add();
     Shard& target = *shards_[serial % shards_.size()];
     if (&target == &s) {
       add_conn(s, fd);
@@ -377,8 +364,6 @@ void EventLoopServer::add_conn(Shard& s, int fd) {
     return;
   }
   stats_.connections_open.fetch_add(1, std::memory_order_relaxed);
-  instruments().connections.set(static_cast<double>(
-      stats_.connections_open.load(std::memory_order_relaxed)));
   s.conns.emplace(conn->id, std::move(conn));
 }
 
@@ -392,7 +377,6 @@ void EventLoopServer::handle_readable(Shard& s, Conn& c) {
     c.rbuf.resize(old_size + (r.status == net::IoStatus::kOk ? r.bytes : 0));
     if (r.status == net::IoStatus::kOk) {
       stats_.bytes_in.fetch_add(r.bytes, std::memory_order_relaxed);
-      instruments().bytes_in.add(static_cast<double>(r.bytes));
       // Parse per chunk so the read buffer stays near one frame's size
       // instead of absorbing a whole pipelined burst before decoding.
       if (!parse_input(s, c)) return;  // fatal framing error or conn gone
@@ -426,7 +410,6 @@ bool EventLoopServer::parse_input(Shard& s, Conn& c) {
     // Framing is unrecoverable (no resync point after a bad length
     // prefix): answer with a protocol_error and close once it flushes.
     stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    instruments().protocol_errors.add();
     c.wbuf += c.codec->encode_error(error_response(
         {}, Op::kUnknown, "protocol_error", decoded.error().message));
     c.closing = true;
@@ -443,9 +426,7 @@ void EventLoopServer::dispatch_batch(Shard& s, Conn& c, WireBatch wire) {
   const std::size_t count = wire.records.size();
   stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
   stats_.requests_in.fetch_add(count, std::memory_order_relaxed);
-  instruments().frames_in.add();
-  instruments().requests_in.add(static_cast<double>(count));
-  instruments().batch_records.observe(static_cast<double>(count));
+  batch_records().observe(static_cast<double>(count));
 
   auto batch = std::make_shared<Batch>();
   batch->responses.resize(count);
@@ -480,7 +461,6 @@ void EventLoopServer::flush_completed(Shard& s, Conn& c) {
     c.pending.pop_front();
     c.wbuf += c.codec->encode(batch->responses);
     stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
-    instruments().frames_out.add();
     encoded = true;
   }
   if (encoded || c.woff < c.wbuf.size() || c.closing) {
@@ -496,7 +476,6 @@ bool EventLoopServer::try_flush(Shard& s, Conn& c) {
     if (r.status == net::IoStatus::kOk) {
       c.woff += r.bytes;
       stats_.bytes_out.fetch_add(r.bytes, std::memory_order_relaxed);
-      instruments().bytes_out.add(static_cast<double>(r.bytes));
       continue;
     }
     if (r.status == net::IoStatus::kWouldBlock) break;
@@ -529,7 +508,6 @@ bool EventLoopServer::try_flush(Shard& s, Conn& c) {
     c.paused = true;
     c.reading = false;
     stats_.backpressure_stalls.fetch_add(1, std::memory_order_relaxed);
-    instruments().stalls.add();
     interest_changed = true;
   } else if (c.paused && backlog <= cfg_.write_low_watermark) {
     c.paused = false;
@@ -557,8 +535,6 @@ void EventLoopServer::close_conn(Shard& s, Conn& c) {
   net::close_fd(c.fd);
   c.fd = -1;
   stats_.connections_open.fetch_sub(1, std::memory_order_relaxed);
-  instruments().connections.set(static_cast<double>(
-      stats_.connections_open.load(std::memory_order_relaxed)));
   // In-flight batches keep their shared_ptr state; completions for this id
   // simply miss the lookup and are dropped.
   s.conns.erase(c.id);

@@ -41,10 +41,12 @@
 
 namespace ipso::serve {
 
-/// Event-loop configuration (TcpServer translates ServerConfig into this).
-struct EventLoopConfig {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;          ///< 0 = ephemeral
+/// Listener configuration: the event loop's, TcpServer's, and (as the
+/// base of RouterConfig) the router front end's. The first two fields
+/// lead so `ServerConfig{host, port}` aggregate initialization works.
+struct ServerConfig {
+  std::string host = "127.0.0.1";  ///< bind address
+  std::uint16_t port = 0;          ///< 0 = ephemeral (read back via port())
   std::size_t shards = 1;          ///< epoll loops (and loop threads)
   std::size_t max_frame_bytes = 16u << 20;   ///< frame payload / line bound
   std::size_t write_high_watermark = 4u << 20;  ///< pause reads above this
@@ -78,7 +80,7 @@ class EventLoopServer {
  public:
   /// Everything `handler` captures must outlive the server. Construction
   /// does not bind.
-  EventLoopServer(RequestHandler handler, EventLoopConfig cfg);
+  EventLoopServer(RequestHandler handler, const ServerConfig& cfg);
 
   /// Implicit begin_drain() + finish() (without the backend drain — callers
   /// that want the full answered-before-exit contract go through
@@ -129,7 +131,7 @@ class EventLoopServer {
   static void wake(Shard& s);
 
   RequestHandler handler_;
-  EventLoopConfig cfg_;
+  ServerConfig cfg_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -7,29 +7,13 @@
 
 namespace ipso::serve {
 
-namespace {
-
-EventLoopConfig loop_config(const RouterConfig& cfg) {
-  EventLoopConfig out;
-  out.host = cfg.host;
-  out.port = cfg.port;
-  out.shards = cfg.shards;
-  out.max_frame_bytes = cfg.max_frame_bytes;
-  out.write_high_watermark = cfg.write_high_watermark;
-  out.write_low_watermark = cfg.write_low_watermark;
-  out.listen_backlog = cfg.listen_backlog;
-  return out;
-}
-
-}  // namespace
-
 Router::Router(RouterConfig cfg)
     : cfg_(std::move(cfg)),
       loop_(
           [this](std::string record, std::function<void(std::string)> done) {
             route(std::move(record), std::move(done));
           },
-          loop_config(cfg_)) {
+          cfg_) {
   if (cfg_.connections_per_replica == 0) cfg_.connections_per_replica = 1;
   if (cfg_.max_upstream_batch == 0) cfg_.max_upstream_batch = 1;
 }

@@ -57,19 +57,13 @@ struct ReplicaEndpoint {
   std::uint16_t port = 0;
 };
 
-/// Router construction parameters.
-struct RouterConfig {
-  std::string host = "127.0.0.1";  ///< front-end bind address
-  std::uint16_t port = 0;          ///< 0 = ephemeral (read back via port())
-  std::size_t shards = 1;          ///< front-end epoll loop threads
+/// Router construction parameters: the front-end listener (the inherited
+/// ServerConfig fields) plus the replica fan-out.
+struct RouterConfig : ServerConfig {
   std::vector<ReplicaEndpoint> replicas;
   std::string placement = "hash";  ///< "hash" | "range" | "affinity"
   std::size_t connections_per_replica = 2;
   std::size_t max_upstream_batch = 64;  ///< records per upstream frame
-  std::size_t max_frame_bytes = 16u << 20;
-  std::size_t write_high_watermark = 4u << 20;
-  std::size_t write_low_watermark = 1u << 20;
-  int listen_backlog = 1024;
 };
 
 /// Monotonic router counters; snapshot via Router::stats().

@@ -4,29 +4,13 @@
 
 namespace ipso::serve {
 
-namespace {
-
-EventLoopConfig loop_config(const ServerConfig& cfg) {
-  EventLoopConfig out;
-  out.host = cfg.host;
-  out.port = cfg.port;
-  out.shards = cfg.shards;
-  out.max_frame_bytes = cfg.max_frame_bytes;
-  out.write_high_watermark = cfg.write_high_watermark;
-  out.write_low_watermark = cfg.write_low_watermark;
-  out.listen_backlog = cfg.listen_backlog;
-  return out;
-}
-
-}  // namespace
-
 TcpServer::TcpServer(ServeEngine& engine, ServerConfig cfg)
     : engine_(engine),
       loop_(
           [&engine](std::string line, std::function<void(std::string)> done) {
             engine.submit_async(std::move(line), std::move(done));
           },
-          loop_config(cfg)) {}
+          cfg) {}
 
 TcpServer::~TcpServer() { shutdown(); }
 
@@ -40,16 +24,6 @@ void TcpServer::shutdown() {
   loop_.begin_drain();
   engine_.drain();
   loop_.finish();
-}
-
-Expected<bool, NetError> TcpClient::connect(const std::string& host,
-                                               std::uint16_t port) {
-  return client_.connect(host, port);
-}
-
-Expected<std::string, NetError> TcpClient::roundtrip(
-    const std::string& line) {
-  return client_.call(line);
 }
 
 }  // namespace ipso::serve

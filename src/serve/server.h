@@ -1,7 +1,6 @@
 #pragma once
 
 #include "core/expected.h"
-#include "serve/client.h"
 #include "serve/engine.h"
 #include "serve/event_loop.h"
 #include "serve/transport.h"
@@ -27,19 +26,6 @@
 /// connection.
 
 namespace ipso::serve {
-
-/// Listener configuration. The first two fields keep their PR-4 order so
-/// `ServerConfig{host, port}` aggregate initialization stays valid; the
-/// rest tune the event loop and default sensibly.
-struct ServerConfig {
-  std::string host = "127.0.0.1";  ///< bind address
-  std::uint16_t port = 0;          ///< 0 = ephemeral (read back via port())
-  std::size_t shards = 1;          ///< epoll loop threads
-  std::size_t max_frame_bytes = 16u << 20;      ///< frame/line size bound
-  std::size_t write_high_watermark = 4u << 20;  ///< pause reads above
-  std::size_t write_low_watermark = 1u << 20;   ///< resume reads below
-  int listen_backlog = 1024;
-};
 
 class TcpServer {
  public:
@@ -76,32 +62,6 @@ class TcpServer {
   ServeEngine& engine_;
   EventLoopServer loop_;
   std::atomic<bool> shut_down_{false};
-};
-
-/// Minimal blocking JSON-lines client, kept for source compatibility with
-/// the PR 4/5 surface; new code should use serve::Client (client.h), which
-/// this wraps.
-class TcpClient {
- public:
-  TcpClient() = default;
-  ~TcpClient() = default;
-
-  TcpClient(const TcpClient&) = delete;
-  TcpClient& operator=(const TcpClient&) = delete;
-
-  /// Connects to host:port; error string names syscall + errno text.
-  Expected<bool, NetError> connect(const std::string& host,
-                                      std::uint16_t port);
-
-  /// Sends one request line (terminating '\n' appended) and reads one
-  /// response line.
-  Expected<std::string, NetError> roundtrip(const std::string& line);
-
-  void close() { client_.close(); }
-  bool connected() const noexcept { return client_.connected(); }
-
- private:
-  Client client_{Proto::kJson};
 };
 
 }  // namespace ipso::serve

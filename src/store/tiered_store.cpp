@@ -1,6 +1,5 @@
 #include "store/tiered_store.h"
 
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "store/fit_codec.h"
 
@@ -11,20 +10,8 @@ namespace ipso::store {
 
 namespace {
 
-/// Cached-id obs instruments for tier crossings (obs/metrics.h; one
-/// relaxed load per site while obs is disabled).
-struct Instruments {
-  obs::Counter spilled{"store.spilled"};
-  obs::Counter spill_rejected{"store.spill_rejected"};
-  obs::Counter promoted{"store.promoted"};
-  obs::Counter recovered{"store.recovered"};
-  obs::Counter skipped{"store.skipped"};
-};
-
-Instruments& instruments() {
-  static Instruments i;
-  return i;
-}
+/// Minimum sketch estimate for a DRAM-evicted outcome to be spilled.
+constexpr std::uint32_t kSpillMinFreq = 2;
 
 }  // namespace
 
@@ -53,17 +40,7 @@ IoStatus TieredStore::open() {
   if (!has_disk_) return {};
   obs::ScopedSpan span("store recover", "store");
   sync::MutexLock lock(mu_);
-  const IoStatus st = disk_.open();
-  if (st) {
-    const DiskTierStats& d = disk_.stats();
-    if (d.recovered > 0) {
-      instruments().recovered.add(static_cast<double>(d.recovered));
-    }
-    if (d.skipped_total() > 0) {
-      instruments().skipped.add(static_cast<double>(d.skipped_total()));
-    }
-  }
-  return st;
+  return disk_.open();
 }
 
 TieredStore::Result TieredStore::get_or_compute(
@@ -85,7 +62,6 @@ TieredStore::Result TieredStore::get_or_compute(
       }
       if (bytes) {
         if (auto fits = decode_factor_fits(*bytes)) {
-          instruments().promoted.add();
           sync::MutexLock lock(mu_);
           ++tier_.disk_hits;
           disk_hit = true;
@@ -107,14 +83,12 @@ void TieredStore::spill(const std::string& key, const FitOutcomePtr& outcome) {
   if (!outcome || !outcome->fits.has_value()) return;
   sync::MutexLock lock(mu_);
   if (!disk_.is_open()) return;
-  if (sketch_.estimate(key) < cfg_.spill_min_freq) {
+  if (sketch_.estimate(key) < kSpillMinFreq) {
     ++tier_.spill_rejected;
-    instruments().spill_rejected.add();
     return;
   }
   if (disk_.put(key, encode_factor_fits(*outcome->fits))) {
     ++tier_.spilled;
-    instruments().spilled.add();
   } else {
     ++tier_.spill_errors;
   }
@@ -130,7 +104,6 @@ void TieredStore::flush() {
     if (!outcome || !outcome->fits.has_value()) continue;
     if (disk_.put(key, encode_factor_fits(*outcome->fits))) {
       ++tier_.spilled;
-      instruments().spilled.add();
     } else {
       ++tier_.spill_errors;
     }

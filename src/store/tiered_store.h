@@ -43,8 +43,6 @@ struct TieredStoreConfig {
   /// Empty => DRAM-only (tier 1 disabled).
   std::string store_dir;
   std::uint64_t max_segment_bytes = 4ull << 20;
-  /// Minimum sketch estimate for a DRAM-evicted outcome to be spilled.
-  std::uint32_t spill_min_freq = 2;
 };
 
 /// Tier-crossing counters (DRAM-tier counters live in FitCache::Stats).

@@ -54,6 +54,35 @@ FlagState find_flag(int argc, char** argv, const std::string& flag,
   return FlagState::kAbsent;
 }
 
+/// Strict unsigned parse of one flag value `v`, in [min_value, max_value].
+Expected<std::size_t, FlagError> parse_size(const std::string& flag,
+                                            const char* v,
+                                            std::size_t min_value,
+                                            std::size_t max_value) {
+  // strtoull happily wraps "-5" into a huge value; reject signs up front.
+  if (*v == '\0' || *v == '-' || *v == '+') {
+    return FlagError{flag, "expected an unsigned integer, got '" +
+                               std::string(v) + "'"};
+  }
+  char* end = nullptr;
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  if (end == v || *end != '\0') {
+    return FlagError{flag, "expected an unsigned integer, got '" +
+                               std::string(v) + "'"};
+  }
+  if (n < min_value || n > max_value) {
+    std::string range = "[";
+    range += std::to_string(min_value) + ", " +
+             (max_value == std::numeric_limits<std::size_t>::max()
+                  ? std::string("inf")
+                  : std::to_string(max_value)) +
+             "]";
+    return FlagError{flag,
+                     "value " + std::to_string(n) + " outside " + range};
+  }
+  return static_cast<std::size_t>(n);
+}
+
 }  // namespace
 
 std::string flag_help() {
@@ -184,28 +213,41 @@ Expected<std::size_t, FlagError> size_flag_from_args(
     case FlagState::kHasValue:
       break;
   }
-  // strtoull happily wraps "-5" into a huge value; reject signs up front.
-  if (*v == '\0' || *v == '-' || *v == '+') {
-    return FlagError{flag, "expected an unsigned integer, got '" +
-                               std::string(v) + "'"};
+  return parse_size(flag, v, min_value, max_value);
+}
+
+Expected<std::vector<std::size_t>, FlagError> size_list_flag_from_args(
+    int argc, char** argv, const std::string& flag,
+    std::vector<std::size_t> fallback, std::size_t min_value) {
+  const char* v = nullptr;
+  switch (find_flag(argc, argv, flag, &v)) {
+    case FlagState::kAbsent:
+      return fallback;
+    case FlagState::kMissingValue:
+      return FlagError{flag, "missing a value"};
+    case FlagState::kHasValue:
+      break;
   }
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') {
-    return FlagError{flag, "expected an unsigned integer, got '" +
-                               std::string(v) + "'"};
+  std::vector<std::size_t> out;
+  const std::string list = v;
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t comma = list.find(',', begin);
+    const std::string item = list.substr(begin, comma - begin);
+    auto n = parse_size(flag, item.c_str(), min_value,
+                        std::numeric_limits<std::size_t>::max());
+    if (!n.has_value()) return n.error();
+    out.push_back(*n);
+    if (comma == std::string::npos) return out;
+    begin = comma + 1;
   }
-  if (n < min_value || n > max_value) {
-    std::string range = "[";
-    range += std::to_string(min_value) + ", " +
-             (max_value == std::numeric_limits<std::size_t>::max()
-                  ? std::string("inf")
-                  : std::to_string(max_value)) +
-             "]";
-    return FlagError{flag,
-                     "value " + std::to_string(n) + " outside " + range};
+}
+
+bool has_flag(int argc, char** argv, std::string_view flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i] == flag) return true;
   }
-  return static_cast<std::size_t>(n);
+  return false;
 }
 
 Expected<double, FlagError> double_flag_from_args(

@@ -10,6 +10,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <vector>
 
 /// \file cli_opts.h
 /// Shared CLI flag parsing for the bench/example executables. Every binary
@@ -93,6 +94,14 @@ struct FlagError {
     std::size_t min_value = 0,
     std::size_t max_value = std::numeric_limits<std::size_t>::max());
 
+/// Strict comma-separated list ("--flag 1,16,256"), same contract as
+/// size_flag_from_args: an empty or malformed entry, or one below
+/// `min_value`, is a FlagError naming the flag.
+[[nodiscard]] Expected<std::vector<std::size_t>, FlagError>
+size_list_flag_from_args(int argc, char** argv, const std::string& flag,
+                         std::vector<std::size_t> fallback,
+                         std::size_t min_value = 0);
+
 /// Strict double flag, same contract as size_flag_from_args.
 [[nodiscard]] Expected<double, FlagError> double_flag_from_args(
     int argc, char** argv, const std::string& flag, double fallback,
@@ -102,6 +111,9 @@ struct FlagError {
 /// value) => FlagError.
 [[nodiscard]] Expected<std::string, FlagError> string_flag_from_args(
     int argc, char** argv, const std::string& flag, std::string fallback);
+
+/// True when argv holds the switch `flag` itself (e.g. --no-net).
+[[nodiscard]] bool has_flag(int argc, char** argv, std::string_view flag);
 
 /// Unwraps a strict flag parse for a program that refuses to start on a
 /// bad flag: on a FlagError it prints "<program>: <error>" to stderr and

@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 namespace ipso {
 namespace {
@@ -116,6 +117,34 @@ TEST(CliOpts, HandleInfoFlagsIgnoresOrdinaryArgs) {
   EXPECT_FALSE(trace::handle_info_flags(4, const_cast<char**>(argv)));
   const char* bare[] = {"prog"};
   EXPECT_FALSE(trace::handle_info_flags(1, const_cast<char**>(bare)));
+}
+
+TEST(CliOpts, SizeListFlagIsStrict) {
+  const auto parse = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "prog");
+    return trace::size_list_flag_from_args(
+        static_cast<int>(args.size()), const_cast<char**>(args.data()),
+        "--conns", {1, 16}, 1);
+  };
+  ASSERT_TRUE(parse({}).has_value());
+  EXPECT_EQ(*parse({}), (std::vector<std::size_t>{1, 16}));
+  ASSERT_TRUE(parse({"--conns", "4,256"}).has_value());
+  EXPECT_EQ(*parse({"--conns", "4,256"}), (std::vector<std::size_t>{4, 256}));
+  ASSERT_TRUE(parse({"--conns=8"}).has_value());
+  EXPECT_EQ(*parse({"--conns=8"}), (std::vector<std::size_t>{8}));
+  for (const char* bad : {"", "4,", ",4", "4,,8", "4,x", "0", "-1", "2.5"}) {
+    const auto parsed = parse({"--conns", bad});
+    ASSERT_FALSE(parsed.has_value()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.error().flag, "--conns");
+  }
+  EXPECT_FALSE(parse({"--conns"}).has_value());
+}
+
+TEST(CliOpts, HasFlagMatchesWholeArgumentsOnly) {
+  const char* argv[] = {"prog", "--no-net", "--router-keys", "4"};
+  EXPECT_TRUE(trace::has_flag(4, const_cast<char**>(argv), "--no-net"));
+  EXPECT_FALSE(trace::has_flag(4, const_cast<char**>(argv), "--router"));
+  EXPECT_FALSE(trace::has_flag(4, const_cast<char**>(argv), "prog"));
 }
 
 }  // namespace

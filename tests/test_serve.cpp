@@ -1,3 +1,4 @@
+#include "serve/client.h"
 #include "serve/engine.h"
 #include "serve/proto.h"
 #include "serve/server.h"
@@ -8,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -252,7 +254,7 @@ TEST(ServeEngine, CacheHitsSkipTheFit) {
   EXPECT_EQ(first, second);
   EXPECT_EQ(fits.load(), 1);
   EXPECT_EQ(engine.fits_performed(), 1u);
-  EXPECT_EQ(engine.stats().cache_hits, 1u);
+  EXPECT_EQ(engine.store_stats().cache.hits, 1u);
 }
 
 TEST(ServeEngine, ConcurrentIdenticalFitsCoalesceToOneFit) {
@@ -278,9 +280,9 @@ TEST(ServeEngine, ConcurrentIdenticalFitsCoalesceToOneFit) {
   // One leader is inside the (held) fit; every other worker reaches the
   // cache and parks as a follower.
   ASSERT_TRUE(eventually([&] {
-    return engine.stats().coalesced == kClients - 1;
+    return engine.store_stats().cache.coalesced == kClients - 1;
   })) << "followers never coalesced; coalesced="
-      << engine.stats().coalesced;
+      << engine.store_stats().cache.coalesced;
   {
     ipso::sync::MutexLock lock(mu);
     release = true;
@@ -507,6 +509,91 @@ TEST(ServeEngine, StatsConserveAcrossEveryOutcome) {
                             s.rejected_draining + s.parse_errors);
 }
 
+/// Every `"name":<unsigned integer>` pair in `json`, by name. The stats
+/// op's keys are unique across its nested blocks, so names suffice.
+std::map<std::string, std::size_t> integer_fields(const std::string& json) {
+  std::map<std::string, std::size_t> out;
+  for (std::size_t at = json.find("\":"); at != std::string::npos;
+       at = json.find("\":", at + 2)) {
+    const std::size_t open = json.rfind('"', at - 1);
+    std::size_t end = at + 2;
+    std::size_t value = 0;
+    for (; end < json.size() && json[end] >= '0' && json[end] <= '9'; ++end) {
+      value = value * 10 + static_cast<std::size_t>(json[end] - '0');
+    }
+    if (end > at + 2) out[json.substr(open + 1, at - open - 1)] = value;
+  }
+  return out;
+}
+
+TEST(ServeEngine, StatsOpSerializesTheCounterStructs) {
+  // The stats op is a view of the counter structs: after a mixed run,
+  // every integer it reports equals the matching field of stats(),
+  // store_stats() or observe_stats() (or of the engine's shape), and it
+  // reports no other integer.
+  ServeConfig cfg;
+  cfg.threads = 1;
+  cfg.cache_capacity = 8;
+  ServeEngine engine(cfg);
+  ASSERT_TRUE(is_ok(engine.handle(fit_request(70))));  // miss
+  ASSERT_TRUE(is_ok(engine.handle(fit_request(70))));  // hit
+  ASSERT_TRUE(has_error(engine.handle("{\"op\":"), "parse_error"));
+  const std::string observed = engine.handle(
+      "{\"op\":\"observe\",\"key\":\"w\",\"n\":2,\"value\":1.9}");
+  ASSERT_NE(observed.find("\"material\":true"), std::string::npos)
+      << observed;
+
+  const std::string response = engine.handle("{\"op\":\"stats\"}");
+  ASSERT_TRUE(is_ok(response)) << response;
+  const ServeStats s = engine.stats();
+  const store::TieredStore::Stats st = engine.store_stats();
+  const ObservationStore::Stats ob = engine.observe_stats();
+  ASSERT_EQ(st.cache.hits, 1u);
+  ASSERT_EQ(st.cache.misses, 1u);
+  ASSERT_EQ(s.parse_errors, 1u);
+  ASSERT_EQ(ob.material, 1u);
+
+  // The stats request was in flight while it serialized: already
+  // received, one deep in the queue, not yet completed.
+  const std::map<std::string, std::size_t> expected = {
+      {"threads", engine.threads()},
+      {"queue_capacity", cfg.queue_capacity},
+      {"received", s.received},
+      {"completed", s.completed - 1},
+      {"overloaded", s.overloaded},
+      {"rejected_draining", s.rejected_draining},
+      {"deadline_exceeded", s.deadline_expired},
+      {"parse_errors", s.parse_errors},
+      {"queue_depth", s.queue_depth + 1},
+      {"peak_queue_depth", s.peak_queue_depth},
+      {"capacity", cfg.cache_capacity},
+      {"size", st.cache.size},
+      {"hits", st.cache.hits},
+      {"misses", st.cache.misses},
+      {"coalesced", st.cache.coalesced},
+      {"evictions", st.cache.evictions},
+      {"disk_hits", st.tier.disk_hits},
+      {"spilled", st.tier.spilled},
+      {"spill_rejected", st.tier.spill_rejected},
+      {"spill_errors", st.tier.spill_errors},
+      {"decode_failures", st.tier.decode_failures},
+      {"records", st.disk.records},
+      {"segments", st.disk.segments},
+      {"bytes", st.disk.bytes},
+      {"recovered", st.disk.recovered},
+      {"skipped", st.disk.skipped_total()},
+      {"invalidations", st.tier.invalidations},
+      {"keys", ob.keys},
+      {"points", ob.points},
+      {"observed", ob.observed},
+      {"material", ob.material},
+      {"absorbed", ob.absorbed},
+      {"evicted_keys", ob.evicted_keys},
+      {"fits_performed", engine.fits_performed()},
+  };
+  EXPECT_EQ(integer_fields(response), expected) << response;
+}
+
 TEST(ServeEngine, LruEvictionForcesRefit) {
   ServeConfig cfg;
   cfg.threads = 1;
@@ -516,7 +603,7 @@ TEST(ServeEngine, LruEvictionForcesRefit) {
   EXPECT_TRUE(is_ok(engine.handle(fit_request(41))));  // evicts 40
   EXPECT_TRUE(is_ok(engine.handle(fit_request(40))));  // refits
   EXPECT_EQ(engine.fits_performed(), 3u);
-  EXPECT_EQ(engine.stats().cache_hits, 0u);
+  EXPECT_EQ(engine.store_stats().cache.hits, 0u);
 }
 
 TEST(ServeEngine, DiagnoseRoundTrip) {
@@ -545,26 +632,26 @@ TEST(ServeTcp, RoundTripAndShutdownDrains) {
   ASSERT_TRUE(started.has_value()) << started.error().message;
   ASSERT_NE(server.port(), 0);
 
-  TcpClient client;
+  Client client{Proto::kJson};
   auto connected = client.connect("127.0.0.1", server.port());
   ASSERT_TRUE(connected.has_value()) << connected.error().message;
 
-  auto pong = client.roundtrip("{\"op\":\"ping\",\"id\":\"t1\"}");
+  auto pong = client.call("{\"op\":\"ping\",\"id\":\"t1\"}");
   ASSERT_TRUE(pong.has_value()) << pong.error().message;
   EXPECT_EQ(*pong,
             "{\"id\":\"t1\",\"op\":\"ping\",\"ok\":true,"
             "\"result\":{\"pong\":true}}");
 
   // A malformed line gets an error response; the connection survives.
-  auto bad = client.roundtrip("{broken");
+  auto bad = client.call("{broken");
   ASSERT_TRUE(bad.has_value()) << bad.error().message;
   EXPECT_TRUE(has_error(*bad, "parse_error"));
 
-  auto fit = client.roundtrip(fit_request(50));
+  auto fit = client.call(fit_request(50));
   ASSERT_TRUE(fit.has_value()) << fit.error().message;
   EXPECT_TRUE(is_ok(*fit)) << *fit;
   // The same fit over TCP is served from cache, byte-identical.
-  auto fit_again = client.roundtrip(fit_request(50));
+  auto fit_again = client.call(fit_request(50));
   ASSERT_TRUE(fit_again.has_value()) << fit_again.error().message;
   EXPECT_EQ(*fit, *fit_again);
   EXPECT_EQ(engine.fits_performed(), 1u);
@@ -587,9 +674,9 @@ TEST(ServeTcp, ConcurrentConnectionsShareTheCache) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      TcpClient client;
+      Client client{Proto::kJson};
       if (!client.connect("127.0.0.1", server.port())) return;
-      if (auto r = client.roundtrip(fit_request(60))) responses[c] = *r;
+      if (auto r = client.call(fit_request(60))) responses[c] = *r;
     });
   }
   for (auto& t : clients) t.join();

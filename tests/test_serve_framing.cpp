@@ -596,7 +596,7 @@ TEST(EventLoop, CrossThreadDrainRegression) {
   // cross-thread shape so the TSan leg of the CI matrix catches a
   // regression to the unsynchronized bool.
   ServeEngine engine((ServeConfig{}));
-  EventLoopConfig cfg;
+  ServerConfig cfg;
   cfg.shards = 2;
   EventLoopServer server(
       [&engine](std::string record, std::function<void(std::string)> done) {

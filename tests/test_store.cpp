@@ -673,7 +673,7 @@ TEST(EngineWarmRestart, RestartedEngineServesByteIdenticalWithoutRefit) {
   }
   EXPECT_EQ(restarted.fits_performed(), 0u)
       << "warm restart must serve persisted fits without re-fitting";
-  EXPECT_EQ(restarted.stats().disk_hits, 6u);
+  EXPECT_EQ(restarted.store_stats().tier.disk_hits, 6u);
 }
 
 TEST(EngineWarmRestart, CorruptedStoreIsSkippedWithCounterNeverACrash) {

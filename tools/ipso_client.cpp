@@ -40,7 +40,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -103,13 +102,6 @@ double double_flag(int argc, char** argv, const char* flag, double min_value,
       kProgram, ipso::trace::double_flag_from_args(
                     argc, argv, flag, std::numeric_limits<double>::quiet_NaN(),
                     min_value, max_value));
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
 }
 
 /// "[[x,y],...]" with max_digits10 doubles, so resubmitting the same CSV
@@ -212,12 +204,12 @@ bool roundtrip_and_print(ipso::serve::Client& client,
 int main(int argc, char** argv) {
   using namespace ipso;
 
-  if (has_flag(argc, argv, "--help") || has_flag(argc, argv, "-h") ||
-      argc < 2) {
+  if (trace::has_flag(argc, argv, "--help") ||
+      trace::has_flag(argc, argv, "-h") || argc < 2) {
     std::fputs(kUsage, stdout);
     return argc < 2 ? 1 : 0;
   }
-  if (has_flag(argc, argv, "--version")) {
+  if (trace::has_flag(argc, argv, "--version")) {
     std::printf("%s\n", trace::version_string().c_str());
     return 0;
   }

@@ -144,13 +144,14 @@ int main(int argc, char** argv) {
   server.shutdown();
 
   const serve::ServeStats s = engine.stats();
+  const store::TieredStore::Stats st = engine.store_stats();
   const serve::NetStats n = server.net_stats();
   std::printf("ipso_serve: drained (received=%zu completed=%zu "
               "overloaded=%zu draining=%zu deadline=%zu parse_errors=%zu "
               "cache_hits=%zu cache_misses=%zu coalesced=%zu)\n",
               s.received, s.completed, s.overloaded, s.rejected_draining,
-              s.deadline_expired, s.parse_errors, s.cache_hits,
-              s.cache_misses, s.coalesced);
+              s.deadline_expired, s.parse_errors, st.cache.hits,
+              st.cache.misses, st.cache.coalesced);
   std::printf("ipso_serve: net (connections=%zu frames_in=%zu "
               "frames_out=%zu requests_in=%zu bytes_in=%zu bytes_out=%zu "
               "wakeups=%zu stalls=%zu protocol_errors=%zu)\n",
@@ -158,7 +159,6 @@ int main(int argc, char** argv) {
               n.requests_in, n.bytes_in, n.bytes_out, n.wakeups,
               n.backpressure_stalls, n.protocol_errors);
   if (!engine_cfg.store_dir.empty()) {
-    const store::TieredStore::Stats st = engine.store_stats();
     std::printf("ipso_serve: store (records=%zu segments=%zu spilled=%zu "
                 "disk_hits=%zu recovered=%zu skipped=%zu)\n",
                 st.disk.records, st.disk.segments, st.tier.spilled,
