@@ -7,9 +7,7 @@ namespace ipso::obs {
 
 namespace {
 
-#if !defined(IPSO_OBS_DISABLED)
 std::atomic<bool> g_enabled{false};
-#endif
 
 /// Log-2 bucket index: bucket 0 for v <= 0 (or non-finite), otherwise
 /// floor(log2(v)) shifted so seconds-scale values land mid-range.
@@ -32,7 +30,6 @@ double bucket_mid(std::size_t b) noexcept {
 
 }  // namespace
 
-#if !defined(IPSO_OBS_DISABLED)
 bool enabled() noexcept {
   return g_enabled.load(std::memory_order_relaxed);
 }
@@ -40,7 +37,6 @@ bool enabled() noexcept {
 void set_enabled(bool on) noexcept {
   g_enabled.store(on, std::memory_order_relaxed);
 }
-#endif
 
 double HistogramStats::quantile(double q) const noexcept {
   if (count == 0) return 0.0;

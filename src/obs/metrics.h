@@ -25,23 +25,14 @@
 ///
 /// Instrument handles (Counter / Gauge / Histogram) resolve the name to a
 /// stable id once and gate every update on obs::enabled(), so a
-/// runtime-disabled binary pays one relaxed load per call site. Compiling
-/// with -DIPSO_OBS_DISABLED turns the handles into empty no-ops (the
-/// compile-time zero-cost path).
+/// runtime-disabled binary pays one relaxed load per call site.
 
 namespace ipso::obs {
 
 /// Global runtime switch for the whole obs subsystem (metrics + spans).
 /// One relaxed atomic load; false by default so untraced runs pay nothing.
-/// Under -DIPSO_OBS_DISABLED this is constexpr false, so every
-/// `if (obs::enabled())` guard in the engines is dead code.
-#if defined(IPSO_OBS_DISABLED)
-constexpr bool enabled() noexcept { return false; }
-inline void set_enabled(bool) noexcept {}
-#else
 bool enabled() noexcept;
 void set_enabled(bool on) noexcept;
-#endif
 
 /// Fixed instrument capacities: shards are flat atomic arrays so they can be
 /// read by the snapshotting thread while owners keep writing (relaxed).
@@ -152,27 +143,6 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<Shard>> shards_ IPSO_GUARDED_BY(mu_);
 };
 
-#if defined(IPSO_OBS_DISABLED)
-
-/// Compile-time no-op instrument handles: every call site vanishes.
-class Counter {
- public:
-  explicit Counter(const std::string&) {}
-  void add(double = 1.0) const noexcept {}
-};
-class Gauge {
- public:
-  explicit Gauge(const std::string&) {}
-  void set(double) const noexcept {}
-};
-class Histogram {
- public:
-  explicit Histogram(const std::string&) {}
-  void observe(double) const noexcept {}
-};
-
-#else
-
 /// Cached-id counter handle. Construct once (e.g. function-local static) and
 /// add() from any thread; updates are dropped while obs is disabled.
 class Counter {
@@ -212,7 +182,5 @@ class Histogram {
  private:
   std::size_t id_;
 };
-
-#endif  // IPSO_OBS_DISABLED
 
 }  // namespace ipso::obs

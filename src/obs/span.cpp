@@ -96,8 +96,6 @@ void Tracer::clear() noexcept {
   dropped_ = 0;
 }
 
-#if !defined(IPSO_OBS_DISABLED)
-
 ScopedSpan::ScopedSpan(std::string name, const char* category,
                        std::string args) {
   if (!enabled()) return;
@@ -138,7 +136,5 @@ std::uint32_t make_sim_track(const std::string& label) {
   if (!enabled()) return Tracer::kInvalidTrack;
   return Tracer::global().make_track(label, /*simulated=*/true);
 }
-
-#endif  // IPSO_OBS_DISABLED
 
 }  // namespace ipso::obs

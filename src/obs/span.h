@@ -27,8 +27,7 @@
 ///    simulated job gets its own track (sim time restarts at 0 per job).
 ///
 /// The ring is bounded: when full, new spans are dropped and counted (the
-/// exporter reports the number). Everything is gated on obs::enabled() and
-/// compiles to nothing under -DIPSO_OBS_DISABLED.
+/// exporter reports the number). Everything is gated on obs::enabled().
 
 namespace ipso::obs {
 
@@ -100,23 +99,6 @@ class Tracer {
   std::vector<TrackInfo> tracks_ IPSO_GUARDED_BY(mu_);
 };
 
-#if defined(IPSO_OBS_DISABLED)
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(std::string, const char* = "", std::string = {}) {}
-  ScopedSpan(std::string, const char*, const ScopedSpan&, std::string = {}) {}
-  std::uint32_t track() const noexcept { return 0; }
-};
-
-inline void record_span(std::uint32_t, std::string, const char*, double,
-                        double, std::string = {}) {}
-inline std::uint32_t make_sim_track(const std::string&) {
-  return Tracer::kInvalidTrack;
-}
-
-#else
-
 /// RAII real-time span on the current thread's track; the parent overload
 /// places the span on the parent's track instead (explicit parent handle
 /// for work that logically nests under a span from another thread).
@@ -151,7 +133,5 @@ void record_span(std::uint32_t track, std::string name, const char* category,
 /// Registers a simulated-time track on the global tracer; returns
 /// Tracer::kInvalidTrack while disabled or past the track cap.
 std::uint32_t make_sim_track(const std::string& label);
-
-#endif  // IPSO_OBS_DISABLED
 
 }  // namespace ipso::obs

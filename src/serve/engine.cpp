@@ -205,7 +205,7 @@ std::string ServeEngine::dispatch(const Request& req) {
     case Op::kStats: {
       const ServeStats s = stats();
       const store::TieredStore::Stats st = store_.stats();
-      const store::FitCache::Stats& c = st.cache;
+      const store::CacheStats& c = st.cache;
       std::ostringstream os;
       os << "{\"threads\":" << pool_.size()
          << ",\"queue_capacity\":" << cfg_.queue_capacity

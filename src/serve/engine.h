@@ -4,7 +4,6 @@
 #include "runtime/exec_pool.h"
 #include "serve/observe.h"
 #include "serve/proto.h"
-#include "store/fit_cache.h"
 #include "store/tiered_store.h"
 
 #include <cstddef>

@@ -13,7 +13,7 @@
 
 /// \file placement.h
 /// Placement policies for the sharded serving tier: given a routing key
-/// (the canonical fit key from fit_cache.h), pick which replica serves it.
+/// (the canonical fit key from tiered_store.h), pick which replica serves it.
 /// The policy is a first-class, swappable object behind a small virtual
 /// interface so the router can be configured at startup (--placement) and
 /// benchmarks can compare strategies head to head. Three built-ins mirror

@@ -1,6 +1,6 @@
 #include "serve/router.h"
 
-#include "store/fit_cache.h"
+#include "store/tiered_store.h"
 
 #include <sstream>
 #include <utility>

@@ -18,7 +18,7 @@
 /// then loses every comparison against the warm set and cannot flush it.
 ///
 /// Deterministic (FNV-1a with fixed per-row seeds) and unsynchronized: the
-/// owner (TieredStore) serializes access under its own mutex.
+/// owner (TieredStore) serializes access under its cache lock.
 
 namespace ipso::store {
 

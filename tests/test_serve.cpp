@@ -2,7 +2,7 @@
 #include "serve/engine.h"
 #include "serve/proto.h"
 #include "serve/server.h"
-#include "store/fit_cache.h"
+#include "store/tiered_store.h"
 
 #include <gtest/gtest.h>
 
@@ -113,7 +113,7 @@ TEST(ServeProto, ResponsesEchoIdAndOp) {
             "\"error\":\"overloaded\",\"message\":\"queue full\"}");
 }
 
-// --------------------------------------------------------------- fit cache
+// --------------------------------------------------- fit cache (DRAM tier)
 
 TEST(FitCache, CanonicalKeyIsBitExact) {
   stats::Series ex("ex");
@@ -138,14 +138,14 @@ TEST(FitCache, CanonicalKeyIsBitExact) {
 }
 
 TEST(FitCache, HitsMissesAndEviction) {
-  store::FitCache cache(2);
+  store::TieredStore cache(store::TieredStoreConfig{2, "", 4ull << 20});
   const auto compute = [] { return store::FitOutcome{FitError::kNotMeasured}; };
   EXPECT_FALSE(cache.get_or_compute("a", compute).hit);
   EXPECT_TRUE(cache.get_or_compute("a", compute).hit);
   EXPECT_FALSE(cache.get_or_compute("b", compute).hit);
   EXPECT_FALSE(cache.get_or_compute("c", compute).hit);  // evicts "a"
   EXPECT_FALSE(cache.get_or_compute("a", compute).hit);  // miss again
-  const store::FitCache::Stats s = cache.stats();
+  const store::CacheStats s = cache.stats().cache;
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 4u);
   EXPECT_EQ(s.evictions, 2u);
@@ -153,13 +153,14 @@ TEST(FitCache, HitsMissesAndEviction) {
 }
 
 TEST(FitCache, ClearDropsReadyEntries) {
-  store::FitCache cache(4);
+  store::TieredStore cache(store::TieredStoreConfig{4, "", 4ull << 20});
   const auto compute = [] { return store::FitOutcome{FitError::kNotMeasured}; };
   cache.get_or_compute("a", compute);
   cache.get_or_compute("b", compute);
-  EXPECT_EQ(cache.stats().size, 2u);
-  cache.clear();
-  EXPECT_EQ(cache.stats().size, 0u);
+  EXPECT_EQ(cache.stats().cache.size, 2u);
+  cache.clear_memory();
+  EXPECT_EQ(cache.stats().cache.size, 0u);
+  EXPECT_EQ(cache.stats().cache.evictions, 0u) << "clearing is not eviction";
   EXPECT_FALSE(cache.get_or_compute("a", compute).hit);
 }
 
@@ -171,14 +172,15 @@ TEST(FitCache, CoalescedFollowersRefreshLruRecency) {
   // serve re-fronts "a" (LRU order [a, b]), so inserting "c" evicts "b"
   // and "a" still hits; without it "a" was the eviction victim while
   // squarely in demand.
-  store::FitCache cache(2);
+  store::TieredStore cache(store::TieredStoreConfig{2, "", 4ull << 20});
   const auto instant = [] { return store::FitOutcome{FitError::kNotMeasured}; };
   cache.set_coalesce_wake_hook([&] { cache.get_or_compute("b", instant); });
 
   std::thread leader([&] {
     cache.get_or_compute("a", [&]() -> store::FitOutcome {
       // Hold the fit open until the follower is provably coalesced on it.
-      EXPECT_TRUE(eventually([&] { return cache.stats().coalesced >= 1; }));
+      EXPECT_TRUE(
+          eventually([&] { return cache.stats().cache.coalesced >= 1; }));
       return store::FitOutcome{FitError::kNotMeasured};
     });
   });

@@ -1,5 +1,4 @@
 #include "store/disk_tier.h"
-#include "store/fit_cache.h"
 #include "store/fit_codec.h"
 #include "store/segment.h"
 #include "store/sketch.h"
@@ -564,59 +563,70 @@ TEST(TieredStore, ConcurrentMixedWorkloadKeepsCountersConserved) {
             static_cast<std::size_t>(computes.load()) + st.tier.disk_hits);
   EXPECT_EQ(tiered.fits_performed(),
             static_cast<std::size_t>(computes.load()));
+  // Every eviction is handed to the disk tier exactly once (the destructor's
+  // flush has not run yet, so spilled counts evictions only).
+  EXPECT_EQ(st.cache.evictions,
+            st.tier.spilled + st.tier.spill_rejected + st.tier.spill_errors);
 }
 
-// ---------------------------------------------------------------------------
-// FitCache tiering hooks (unit level)
-// ---------------------------------------------------------------------------
-
-TEST(FitCacheHooks, EvictHookFiresOnCapacityPressureNotOnClear) {
-  FitCache cache(2);
-  std::vector<std::string> evicted;
-  cache.set_evict_hook([&](const std::string& key, FitOutcomePtr outcome) {
-    EXPECT_NE(outcome, nullptr);
-    evicted.push_back(key);
-  });
+TEST(TieredStore, CapacityEvictionSpillsWarmKeysButClearMemoryDoesNot) {
+  TempDir dir;
+  TieredStoreConfig cfg;
+  cfg.cache_capacity = 2;
+  cfg.store_dir = dir.str();
+  TieredStore tiered(cfg);
+  ASSERT_TRUE(tiered.open());
+  // Two touches each make keys 0..2 warm; the second touch of key 2 ties
+  // the LRU victim's frequency, so key 2 is admitted and key 0 leaves DRAM
+  // by capacity pressure.
   for (int i = 0; i < 3; ++i) {
-    (void)cache.get_or_compute(key_of(i), [i] { return outcome_for(i); });
+    for (int touch = 0; touch < 2; ++touch) {
+      (void)tiered.get_or_compute(key_of(i), [i] { return outcome_for(i); });
+    }
   }
-  EXPECT_EQ(evicted, (std::vector<std::string>{key_of(0)}));
-  cache.clear();
-  EXPECT_EQ(evicted.size(), 1u) << "clear() must not fire the evict hook";
+  const auto evicted = tiered.stats();
+  EXPECT_EQ(evicted.cache.evictions, 2u);
+  EXPECT_EQ(evicted.tier.spill_rejected, 1u)
+      << "key 2's first publish lost admission as a one-touch newcomer";
+  EXPECT_EQ(evicted.tier.spilled, 1u) << "the warm victim key 0 spills";
+  EXPECT_EQ(evicted.disk.appended, 1u);
+
+  tiered.clear_memory();
+  const auto cleared = tiered.stats();
+  EXPECT_EQ(cleared.cache.size, 0u);
+  EXPECT_EQ(cleared.cache.evictions, 2u) << "clearing is not eviction";
+  EXPECT_EQ(cleared.tier.spilled, 1u) << "clear_memory() must not spill";
+  EXPECT_EQ(cleared.disk.appended, 1u);
+  EXPECT_TRUE(tiered
+                  .get_or_compute(key_of(0), [] { return outcome_for(0); })
+                  .disk_hit)
+      << "the spilled key promotes back from disk";
 }
 
-TEST(FitCacheHooks, AdmissionFilterCanRejectTheNewcomer) {
-  FitCache cache(2);
-  std::vector<std::string> evicted;
-  cache.set_evict_hook([&](const std::string& key, FitOutcomePtr) {
-    evicted.push_back(key);
-  });
-  // Reject every newcomer: the resident warm set must stay intact.
-  cache.set_admission_filter(
-      [](const std::string&, const std::string&) { return false; });
-  (void)cache.get_or_compute("warm-a", [] { return outcome_for(1); });
-  (void)cache.get_or_compute("warm-b", [] { return outcome_for(2); });
-  auto scan = cache.get_or_compute("scan", [] { return outcome_for(3); });
+TEST(TieredStore, OneShotNewcomerIsNotAdmittedOverWarmSet) {
+  TempDir dir;
+  TieredStoreConfig cfg;
+  cfg.cache_capacity = 2;
+  cfg.store_dir = dir.str();
+  TieredStore tiered(cfg);
+  ASSERT_TRUE(tiered.open());
+  for (int touch = 0; touch < 2; ++touch) {
+    (void)tiered.get_or_compute("warm-a", [] { return outcome_for(1); });
+    (void)tiered.get_or_compute("warm-b", [] { return outcome_for(2); });
+  }
+  auto scan = tiered.get_or_compute("scan", [] { return outcome_for(3); });
   ASSERT_TRUE(scan.outcome->fits.has_value())
       << "the caller still gets its outcome even when not admitted";
-  EXPECT_EQ(evicted, (std::vector<std::string>{"scan"}));
-  EXPECT_TRUE(cache.get_or_compute("warm-a", [] {
+  const auto st = tiered.stats();
+  EXPECT_EQ(st.cache.evictions, 1u) << "the newcomer itself is demoted";
+  EXPECT_EQ(st.tier.spill_rejected, 1u) << "a one-touch key never spills";
+  EXPECT_EQ(st.tier.spilled, 0u);
+  EXPECT_TRUE(tiered.get_or_compute("warm-a", [] {
                      return outcome_for(1);
                    }).hit);
-  EXPECT_TRUE(cache.get_or_compute("warm-b", [] {
+  EXPECT_TRUE(tiered.get_or_compute("warm-b", [] {
                      return outcome_for(2);
                    }).hit);
-}
-
-TEST(FitCacheHooks, SnapshotReadyCopiesMostRecentFirst) {
-  FitCache cache(4);
-  for (int i = 0; i < 3; ++i) {
-    (void)cache.get_or_compute(key_of(i), [i] { return outcome_for(i); });
-  }
-  const auto snap = cache.snapshot_ready();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].first, key_of(2));
-  EXPECT_EQ(snap[2].first, key_of(0));
 }
 
 // ---------------------------------------------------------------------------
