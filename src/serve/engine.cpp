@@ -38,6 +38,20 @@ SpeedupPredictor predictor_from_params(const AsymptoticParams& p) {
   return SpeedupPredictor(p.materialize(), p.eta);
 }
 
+/// The store answer slot of each op answered through cached_fit().
+std::size_t answer_slot(Op op) {
+  switch (op) {
+    case Op::kFit: return 0;
+    case Op::kClassify: return 1;
+    case Op::kPredict: return 2;
+    default: return 3;  // kRecommend
+  }
+}
+
+double seconds_since(Clock::time_point t) {
+  return std::chrono::duration<double>(Clock::now() - t).count();
+}
+
 }  // namespace
 
 ServeEngine::ServeEngine(ServeConfig cfg)
@@ -61,6 +75,25 @@ std::future<std::string> ServeEngine::submit(std::string line) {
 
 void ServeEngine::submit_async(std::string line,
                                std::function<void(std::string)> done) {
+  const Clock::time_point arrived_at = Clock::now();
+  const store::LineDigest digest = store::digest_line(line);
+  // A line answered before is answered from its DRAM entry without being
+  // parsed or queued. Admission still comes first: while draining or full
+  // the line takes the path below and is rejected exactly as any other.
+  if (admitting()) {
+    if (std::optional<std::string> answer = store_.find_answer(digest)) {
+      {
+        sync::MutexLock lock(mu_);
+        ++stats_.received;
+        ++stats_.completed;
+      }
+      instruments().queue_wait.observe(0.0);
+      instruments().latency.observe(seconds_since(arrived_at));
+      done(std::move(*answer));
+      return;
+    }
+  }
+
   auto parsed = parse_request(line);
   if (!parsed) {
     {
@@ -106,9 +139,8 @@ void ServeEngine::submit_async(std::string line,
     // every admitted request is already in the pool queue, so wait_idle()
     // cannot return before it runs.
     pool_.submit([this, done = std::move(done), admitted_at, deadline_ms,
-                  req = std::move(req)]() mutable {
-      const double waited =
-          std::chrono::duration<double>(Clock::now() - admitted_at).count();
+                  digest, req = std::move(req)]() mutable {
+      const double waited = seconds_since(admitted_at);
       instruments().queue_wait.observe(waited);
       std::string response;
       const bool expired = deadline_ms > 0.0 && waited * 1e3 > deadline_ms;
@@ -129,10 +161,9 @@ void ServeEngine::submit_async(std::string line,
             "serve " + std::string(to_string(req.op)), "serve",
             req.id.empty() ? std::string()
                            : "\"id\":\"" + trace::json_escape(req.id) + "\"");
-        response = process(req);
+        response = process(req, digest);
       }
-      instruments().latency.observe(
-          std::chrono::duration<double>(Clock::now() - admitted_at).count());
+      instruments().latency.observe(seconds_since(admitted_at));
       {
         sync::MutexLock lock(mu_);
         if (!expired) ++stats_.completed;
@@ -163,6 +194,11 @@ bool ServeEngine::draining() const {
   return draining_;
 }
 
+bool ServeEngine::admitting() const {
+  sync::MutexLock lock(mu_);
+  return !draining_ && stats_.queue_depth < cfg_.queue_capacity;
+}
+
 ServeStats ServeEngine::stats() const {
   sync::MutexLock lock(mu_);
   return stats_;
@@ -172,16 +208,17 @@ std::size_t ServeEngine::fits_performed() const {
   return store_.fits_performed();
 }
 
-store::TieredStore::Result ServeEngine::cached_fit(const Request& req) {
-  const std::string key =
-      store::canonical_fit_key(req.workload, req.eta, req.ex, req.in, req.q);
-  return store_.get_or_compute(key, [this, &req] {
+store::TieredStore::Result ServeEngine::cached_fit(const Request& req,
+                                                   std::string* key) {
+  *key = store::canonical_fit_key(req.workload, req.eta, req.ex, req.in, req.q);
+  return store_.get_or_compute(*key, [this, &req] {
     if (cfg_.fit_hook) cfg_.fit_hook();
     return store::FitOutcome{fit_factors(req.workload, req.measurements())};
   });
 }
 
-std::string ServeEngine::process(const Request& req) {
+std::string ServeEngine::process(const Request& req,
+                                 const store::LineDigest& digest) {
   // The serve daemon must not abort on a contract violation: the protocol
   // boundary validates every field, so a violation here means a bug or an
   // input combination the validators missed — either way the right behavior
@@ -189,7 +226,14 @@ std::string ServeEngine::process(const Request& req) {
   // worker. The violation handler stays the throwing default (contracts.h);
   // this is the catch side of that policy.
   try {
-    return dispatch(req);
+    std::string fit_key;
+    std::string response = dispatch(req, &fit_key);
+    // Answered through cached_fit(): a pure function of the line, so the
+    // bytes are remembered for the next identical line.
+    if (!fit_key.empty()) {
+      store_.remember_answer(fit_key, answer_slot(req.op), digest, response);
+    }
+    return response;
   } catch (const contracts::ContractViolation& v) {
     return error_response(req.id, req.op, "contract_violation", v.what());
   } catch (const std::exception& e) {
@@ -197,7 +241,7 @@ std::string ServeEngine::process(const Request& req) {
   }
 }
 
-std::string ServeEngine::dispatch(const Request& req) {
+std::string ServeEngine::dispatch(const Request& req, std::string* fit_key) {
   switch (req.op) {
     case Op::kPing:
       return ok_response(req, "{\"pong\":true}");
@@ -245,7 +289,7 @@ std::string ServeEngine::dispatch(const Request& req) {
     }
 
     case Op::kFit: {
-      const store::TieredStore::Result fit = cached_fit(req);
+      const store::TieredStore::Result fit = cached_fit(req, fit_key);
       if (!fit.outcome->fits) {
         return error_response(req.id, req.op, "fit_failed",
                               to_string(fit.outcome->fits.error()));
@@ -261,7 +305,7 @@ std::string ServeEngine::dispatch(const Request& req) {
            << classification_json(classify(*req.params)) << "}";
         return ok_response(req, os.str());
       }
-      const store::TieredStore::Result fit = cached_fit(req);
+      const store::TieredStore::Result fit = cached_fit(req, fit_key);
       if (!fit.outcome->fits) {
         return error_response(req.id, req.op, "fit_failed",
                               to_string(fit.outcome->fits.error()));
@@ -281,7 +325,7 @@ std::string ServeEngine::dispatch(const Request& req) {
         params = *req.params;
         predictor.emplace(predictor_from_params(params));
       } else {
-        const store::TieredStore::Result fit = cached_fit(req);
+        const store::TieredStore::Result fit = cached_fit(req, fit_key);
         if (!fit.outcome->fits) {
           return error_response(req.id, req.op, "fit_failed",
                                 to_string(fit.outcome->fits.error()));

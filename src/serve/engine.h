@@ -25,6 +25,12 @@
 ///  * **Determinism** — a response is a pure function of the request line;
 ///    cached, coalesced, and freshly-computed answers are byte-identical,
 ///    at any thread count.
+///  * **Repeated lines skip the parse** — the response to a fit, classify,
+///    predict or recommend line with inline series is remembered on its
+///    DRAM fit entry under the line's keyed digest (store/line_digest.h);
+///    the same line arriving again is answered on the calling thread
+///    before parsing or queueing. It still passes admission first, and it
+///    counts as received, completed and a DRAM hit.
 ///  * **Bounded memory** — at most `queue_capacity` requests are admitted
 ///    (queued + running); beyond that submit() resolves immediately with an
 ///    `overloaded` error response instead of queueing. Rejection is O(1)
@@ -156,21 +162,24 @@ class ServeEngine {
   /// Resolved worker-thread count.
   std::size_t threads() const noexcept { return pool_.size(); }
 
-  /// Drops DRAM-cached fit outcomes (bench cold/hot phases). Persisted
-  /// records survive.
-  void clear_cache() { store_.clear_memory(); }
-
  private:
+  /// True when a request arriving now would be admitted.
+  bool admitting() const IPSO_EXCLUDES(mu_);
+
   /// Runs one admitted request; maps ContractViolation escapes to a
   /// "contract_violation" error response (and any other exception to
-  /// "internal") so a worker thread can never die on a bad request.
-  std::string process(const Request& req);
+  /// "internal") so a worker thread can never die on a bad request. A
+  /// response built through cached_fit() is remembered in the store under
+  /// `digest`, the digest of the request line.
+  std::string process(const Request& req, const store::LineDigest& digest);
 
   /// Dispatches one admitted request; returns the response line. May throw.
-  std::string dispatch(const Request& req);
+  /// `fit_key` receives the canonical key when cached_fit() ran.
+  std::string dispatch(const Request& req, std::string* fit_key);
 
-  /// Fit (through the tiered store) for ops that need fitted factors.
-  store::TieredStore::Result cached_fit(const Request& req);
+  /// Fit (through the tiered store) for ops that need fitted factors;
+  /// `key` receives the canonical fit key.
+  store::TieredStore::Result cached_fit(const Request& req, std::string* key);
 
   /// The observe/compare ops (split out of dispatch for readability).
   std::string dispatch_observe(const Request& req);

@@ -3,6 +3,7 @@
 #include "stats/series.h"
 
 #include <span>
+#include <vector>
 
 /// \file regression.h
 /// Linear, power-law and segmented regression — the workhorses of Section V's
@@ -67,10 +68,26 @@ struct SegmentedFit {
   bool has_breakpoint(double min_slope_ratio = 1.2) const noexcept;
 };
 
-/// Exhaustive changepoint search: tries every interior split with at least
-/// `min_seg` points per side and returns the split minimizing total SSE.
-/// Requires at least 2·min_seg points.
+/// Changepoint search over every interior split with at least `min_seg`
+/// points per side; returns the split minimizing total SSE (the first one
+/// on a tie). Requires at least 2·min_seg points.
+///
+/// O(n) screen, exact answer: split_sse_lower_bounds() bounds every
+/// split's SSE from prefix sums, one split is scored exactly, and only the
+/// splits whose bound reaches that score are refitted two-pass. The result
+/// is bit-identical to refitting every split; when many splits tie (a
+/// straight line, duplicate x) it costs what refitting every split costs.
+/// Thread-safe: all scratch is local to the call.
 SegmentedFit fit_segmented(const Series& s, std::size_t min_seg = 3);
+
+/// Element k (min_seg <= k <= n - min_seg) is a proven lower bound on the
+/// total SSE fit_segmented computes, in floating point, for the split
+/// whose left side is the first k points: derived from the rounding error
+/// of the prefix sums, never tuned. -inf where the screen cannot bound the
+/// split (a near-degenerate side, non-finite data). Other elements are
+/// +inf. Exposed so tests can check the bound itself.
+std::vector<double> split_sse_lower_bounds(const Series& s,
+                                           std::size_t min_seg);
 
 /// Residual sum of squares of a fitted callable against a series.
 template <typename F>

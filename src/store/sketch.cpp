@@ -6,14 +6,12 @@ namespace ipso::store {
 
 namespace {
 
-/// FNV-1a 64 with a seed mixed in, so each sketch row hashes independently.
-std::uint64_t fnv1a64(std::string_view data, std::uint64_t seed) noexcept {
-  std::uint64_t h = 14695981039346656037ull ^ seed;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+/// SplitMix64's finalizer: spreads a row seed mixed into the key hash
+/// over all 64 bits, so each sketch row indexes independently.
+std::uint64_t mix(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
 }
 
 /// Fixed per-row seeds (arbitrary odd constants, stable across runs).
@@ -35,24 +33,33 @@ FrequencySketch::FrequencySketch(std::size_t expected_keys)
       window_(8 * std::max<std::size_t>(8, expected_keys)),
       counters_(kRows * width_, 0) {}
 
-std::size_t FrequencySketch::slot(std::size_t row,
-                                  std::string_view key) const noexcept {
-  return row * width_ + (fnv1a64(key, kRowSeeds[row]) & mask_);
+std::uint64_t FrequencySketch::hash(std::string_view key) noexcept {
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64
+  for (const char c : key) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
-void FrequencySketch::record(std::string_view key) {
+std::size_t FrequencySketch::slot(std::size_t row,
+                                  std::uint64_t key_hash) const noexcept {
+  return row * width_ + (mix(key_hash ^ kRowSeeds[row]) & mask_);
+}
+
+void FrequencySketch::record(std::uint64_t key_hash) {
   for (std::size_t r = 0; r < kRows; ++r) {
-    std::uint8_t& c = counters_[slot(r, key)];
+    std::uint8_t& c = counters_[slot(r, key_hash)];
     if (c < 255) ++c;
   }
   ++additions_;
   if (++since_age_ >= window_) age();
 }
 
-std::uint32_t FrequencySketch::estimate(std::string_view key) const {
+std::uint32_t FrequencySketch::estimate(std::uint64_t key_hash) const {
   std::uint32_t est = 255;
   for (std::size_t r = 0; r < kRows; ++r) {
-    est = std::min<std::uint32_t>(est, counters_[slot(r, key)]);
+    est = std::min<std::uint32_t>(est, counters_[slot(r, key_hash)]);
   }
   return est;
 }

@@ -17,8 +17,9 @@
 /// against the resident victim — a one-shot scan of never-seen-again keys
 /// then loses every comparison against the warm set and cannot flush it.
 ///
-/// Deterministic (FNV-1a with fixed per-row seeds) and unsynchronized: the
-/// owner (TieredStore) serializes access under its cache lock.
+/// Deterministic (one FNV-1a pass, mixed with fixed per-row seeds) and
+/// unsynchronized: the owner (TieredStore) serializes access under its
+/// cache lock.
 
 namespace ipso::store {
 
@@ -29,13 +30,22 @@ class FrequencySketch {
   /// 8 x expected_keys increments.
   explicit FrequencySketch(std::size_t expected_keys);
 
+  /// One pass over the key; every row's counter is derived from this
+  /// hash, so a caller that keeps it (the store keeps one per entry)
+  /// records and estimates in O(1) however long the key is.
+  [[nodiscard]] static std::uint64_t hash(std::string_view key) noexcept;
+
   /// Records one access. Saturates at 255; after every `window` record()
   /// calls all counters are halved, so stale popularity decays.
-  void record(std::string_view key);
+  void record(std::uint64_t key_hash);
+  void record(std::string_view key) { record(hash(key)); }
 
   /// Estimated recent access count (count-min: minimum over rows; an
   /// over-approximation only, never an undercount modulo aging).
-  [[nodiscard]] std::uint32_t estimate(std::string_view key) const;
+  [[nodiscard]] std::uint32_t estimate(std::uint64_t key_hash) const;
+  [[nodiscard]] std::uint32_t estimate(std::string_view key) const {
+    return estimate(hash(key));
+  }
 
   /// Total record() calls since construction (not reset by aging).
   [[nodiscard]] std::uint64_t additions() const noexcept {
@@ -46,7 +56,7 @@ class FrequencySketch {
   static constexpr std::size_t kRows = 4;
 
   [[nodiscard]] std::size_t slot(std::size_t row,
-                                 std::string_view key) const noexcept;
+                                 std::uint64_t key_hash) const noexcept;
   void age();
 
   std::size_t width_;           ///< power of two, so mask_ = width_ - 1

@@ -71,10 +71,13 @@ IoStatus TieredStore::open() {
 
 TieredStore::Result TieredStore::get_or_compute(
     const std::string& key, const std::function<FitOutcome()>& compute) {
+  // Hashed before locking; only a persistent store keeps a sketch.
+  const std::uint64_t sketch_hash =
+      has_disk_ ? FrequencySketch::hash(key) : 0;
   std::shared_ptr<Entry> entry;
   {
     sync::MutexLock lock(mu_);
-    if (sketch_) sketch_->record(key);
+    if (sketch_) sketch_->record(sketch_hash);
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
       entry = it->second;
@@ -108,6 +111,7 @@ TieredStore::Result TieredStore::get_or_compute(
       return {outcome, false, true, false};
     }
     entry = std::make_shared<Entry>();
+    entry->sketch_hash = sketch_hash;
     entries_.emplace(key, entry);
     ++stats_.misses;
   }
@@ -164,22 +168,25 @@ std::vector<TieredStore::Victim> TieredStore::admit(
   // computed; only a key still present joins the LRU.
   const auto it = entries_.find(key);
   if (it == entries_.end() || it->second != entry) return evicted;
-  lru_.push_front(key);
+  lru_.push_front(&it->first);
   entry->lru_it = lru_.begin();
   while (lru_.size() > capacity_) {
-    std::string victim = lru_.back();
+    // Every LRU key maps to a READY entry, so the find cannot miss.
+    auto vit = entries_.find(*lru_.back());
     // Frequency-driven admission: on the first overflow caused by this
     // publication, a newcomer colder than the coldest resident is the one
     // demoted, so the warm set stays intact (scan resistance).
-    if (sketch_ && victim != key && lru_.size() == capacity_ + 1 &&
-        sketch_->estimate(key) < sketch_->estimate(victim)) {
-      victim = key;
+    if (sketch_ && vit != it && lru_.size() == capacity_ + 1 &&
+        sketch_->estimate(entry->sketch_hash) <
+            sketch_->estimate(vit->second->sketch_hash)) {
+      vit = it;
     }
-    // Every LRU key maps to a READY entry, so the find cannot miss.
-    const auto vit = entries_.find(victim);
-    const std::uint32_t freq = sketch_ ? sketch_->estimate(victim) : 0;
-    evicted.push_back({std::move(victim), vit->second->outcome, freq});
-    lru_.erase(vit->second->lru_it);
+    Entry& victim = *vit->second;
+    const std::uint32_t freq =
+        sketch_ ? sketch_->estimate(victim.sketch_hash) : 0;
+    evicted.push_back({vit->first, victim.outcome, freq});
+    drop_answers(victim);
+    lru_.erase(victim.lru_it);
     entries_.erase(vit);
     ++stats_.evictions;
   }
@@ -217,8 +224,8 @@ void TieredStore::flush() {
   {
     sync::MutexLock lock(mu_);
     ready.reserve(lru_.size());
-    for (const std::string& key : lru_) {
-      ready.emplace_back(key, entries_.find(key)->second->outcome);
+    for (const std::string* key : lru_) {
+      ready.emplace_back(*key, entries_.find(*key)->second->outcome);
     }
   }
   sync::MutexLock lock(disk_mu_);
@@ -236,6 +243,7 @@ bool TieredStore::invalidate(const std::string& key) {
     const auto it = entries_.find(key);
     // Pending entries are untouched: their leader publishes normally.
     if (it != entries_.end() && it->second->ready) {
+      drop_answers(*it->second);
       lru_.erase(it->second->lru_it);
       entries_.erase(it);
       dram = true;
@@ -250,9 +258,41 @@ bool TieredStore::invalidate(const std::string& key) {
 void TieredStore::clear_memory() {
   sync::MutexLock lock(mu_);
   // Pending entries stay in the map (their leaders publish into the
-  // emptied LRU); READY entries drop now.
-  for (const std::string& key : lru_) entries_.erase(key);
+  // emptied LRU); READY entries drop now, with every answer.
+  std::erase_if(entries_, [](const auto& kv) { return kv.second->ready; });
   lru_.clear();
+  answers_.clear();
+}
+
+std::optional<std::string> TieredStore::find_answer(const LineDigest& d) {
+  sync::MutexLock lock(mu_);
+  const auto it = answers_.find(d);
+  if (it == answers_.end()) return std::nullopt;
+  Entry& entry = *it->second.entry;
+  if (sketch_) sketch_->record(entry.sketch_hash);
+  lru_.splice(lru_.begin(), lru_, entry.lru_it);
+  ++stats_.hits;
+  return entry.answers[it->second.slot]->response;
+}
+
+void TieredStore::remember_answer(const std::string& key, std::size_t slot,
+                                  const LineDigest& d, std::string response) {
+  if (response.size() > kMaxAnswerBytes) return;
+  sync::MutexLock lock(mu_);
+  const auto it = entries_.find(key);
+  if (it == entries_.end() || !it->second->ready) return;
+  Entry& entry = *it->second;
+  std::optional<Answer>& answer = entry.answers.at(slot);
+  if (answer) answers_.erase(answer->digest);
+  answer = Answer{d, std::move(response)};
+  answers_[d] = AnswerRef{&entry, slot};
+}
+
+void TieredStore::drop_answers(Entry& entry) {
+  for (std::optional<Answer>& answer : entry.answers) {
+    if (answer) answers_.erase(answer->digest);
+    answer.reset();
+  }
 }
 
 TieredStore::Stats TieredStore::stats() const {

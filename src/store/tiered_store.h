@@ -3,8 +3,10 @@
 #include "core/domain.h"
 #include "core/fit.h"
 #include "store/disk_tier.h"
+#include "store/line_digest.h"
 #include "store/sketch.h"
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -39,8 +41,16 @@
 /// Without a directory (store_dir empty) the store is a plain LRU: no
 /// sketch, no I/O.
 ///
+/// **Answers.** A DRAM entry also carries the response bytes of up to
+/// kAnswerSlots request lines it answered (one per slot; the serve engine
+/// uses one slot per fit-path op), indexed by the lines' keyed digests
+/// (line_digest.h), so a repeated line is answered before it is parsed.
+/// The lines themselves are not stored: a digest hit is trusted. The
+/// answers leave with their entry (eviction, invalidate(), clear_memory()).
+///
 /// Concurrency contract: two locks, never nested. The cache lock guards
-/// the LRU map, the coalescing condvar, the DRAM counters and the sketch;
+/// the LRU map, the coalescing condvar, the DRAM counters, the sketch and
+/// the answer index;
 /// the disk lock guards the disk tier and the tier-crossing counters.
 /// Promotion reads and fits run with the cache lock released (a slow fit
 /// never blocks lookups of other keys); evicted outcomes are spilled under
@@ -132,6 +142,27 @@ class TieredStore {
   /// The drain path of the serve engine, and the destructor's last act.
   void flush() IPSO_EXCLUDES(mu_, disk_mu_);
 
+  /// Answer slots per DRAM entry, and the largest answer kept: a typical
+  /// fit-path response is 1-3 KiB, and only a client-supplied grid of
+  /// thousands of points makes one larger, so with both bounds no client
+  /// can grow an entry by more than 256 KiB.
+  static constexpr std::size_t kAnswerSlots = 4;
+  static constexpr std::size_t kMaxAnswerBytes = 64u << 10;
+
+  /// The response remembered for the request line with digest `d`, if a
+  /// DRAM entry carries one. A hit is a DRAM hit: it counts in
+  /// cache.hits, is recorded in the sketch and refreshes LRU recency.
+  [[nodiscard]] std::optional<std::string> find_answer(const LineDigest& d)
+      IPSO_EXCLUDES(mu_);
+
+  /// Attaches `response`, the answer to the line with digest `d`, to the
+  /// READY DRAM entry of `key` in slot `slot` (< kAnswerSlots), replacing
+  /// that slot's previous answer. A no-op when `key` is not READY in DRAM
+  /// or `response` is longer than kMaxAnswerBytes.
+  void remember_answer(const std::string& key, std::size_t slot,
+                       const LineDigest& d, std::string response)
+      IPSO_EXCLUDES(mu_);
+
   /// Drops the DRAM tier only (persisted records survive — this is what
   /// makes the bench's warm phase honest: byte-identical responses must
   /// come from disk, not from lingering DRAM). Spills nothing: dropping
@@ -172,6 +203,11 @@ class TieredStore {
   void set_coalesce_wake_hook(std::function<void()> hook) IPSO_EXCLUDES(mu_);
 
  private:
+  /// A remembered response and the digest of the line it answered.
+  struct Answer {
+    LineDigest digest;
+    std::string response;
+  };
   /// Entry fields are guarded by mu_ as well (every access in
   /// tiered_store.cpp is under the lock), but the analysis cannot express
   /// "guarded by the owning container's mutex" for a heap-shared node, so
@@ -179,7 +215,14 @@ class TieredStore {
   struct Entry {
     FitOutcomePtr outcome;  ///< null while the leader is computing
     bool ready = false;
-    std::list<std::string>::iterator lru_it{};  ///< valid iff ready
+    std::uint64_t sketch_hash = 0;  ///< FrequencySketch::hash(key)
+    std::list<const std::string*>::iterator lru_it{};  ///< valid iff ready
+    std::array<std::optional<Answer>, kAnswerSlots> answers;
+  };
+  /// Where an indexed answer lives.
+  struct AnswerRef {
+    Entry* entry = nullptr;
+    std::size_t slot = 0;
   };
 
   /// An outcome leaving DRAM by capacity pressure, with the sketch's
@@ -200,6 +243,8 @@ class TieredStore {
                             const std::shared_ptr<Entry>& entry)
       IPSO_REQUIRES(mu_);
   void spill(const std::vector<Victim>& victims) IPSO_EXCLUDES(mu_, disk_mu_);
+  /// Unindexes and frees the answers of an entry leaving DRAM.
+  void drop_answers(Entry& entry) IPSO_REQUIRES(mu_);
   void persist(const std::string& key, const FactorFits& fits)
       IPSO_REQUIRES(disk_mu_);
 
@@ -212,9 +257,14 @@ class TieredStore {
   sync::CondVar ready_cv_;
   /// Test-only; see setter.
   std::function<void()> coalesce_wake_hook_ IPSO_GUARDED_BY(mu_);
-  /// Most-recent first; READY keys only.
-  std::list<std::string> lru_ IPSO_GUARDED_BY(mu_);
+  /// Most-recent first; READY keys only. Each points at the key inside
+  /// its entries_ node (nodes stay put across rehashing), so a key, which
+  /// can be hundreds of KiB, is stored once.
+  std::list<const std::string*> lru_ IPSO_GUARDED_BY(mu_);
   std::unordered_map<std::string, std::shared_ptr<Entry>> entries_
+      IPSO_GUARDED_BY(mu_);
+  /// Digest of a remembered line -> its answer; READY entries only.
+  std::unordered_map<LineDigest, AnswerRef, LineDigestHash> answers_
       IPSO_GUARDED_BY(mu_);
   CacheStats stats_ IPSO_GUARDED_BY(mu_);
   /// Present iff has_disk_: admission and spill decisions only.

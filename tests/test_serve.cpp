@@ -195,6 +195,80 @@ TEST(FitCache, CoalescedFollowersRefreshLruRecency) {
   EXPECT_FALSE(cache.get_or_compute("b", instant).hit);  // the evictee
 }
 
+TEST(StoreAnswers, RememberedLineIsFoundAsADramHit) {
+  store::TieredStore cache(store::TieredStoreConfig{2, "", 4ull << 20});
+  const auto compute = [] { return store::FitOutcome{FitError::kNotMeasured}; };
+  const store::LineDigest line = store::digest_line("line a");
+  EXPECT_FALSE(cache.find_answer(line).has_value());
+  cache.remember_answer("a", 0, line, "answer a");  // no entry yet: no-op
+  EXPECT_FALSE(cache.find_answer(line).has_value());
+  cache.get_or_compute("a", compute);
+  cache.remember_answer("a", 0, line, "answer a");
+  EXPECT_EQ(cache.find_answer(line).value_or(""), "answer a");
+  EXPECT_EQ(cache.stats().cache.hits, 1u);
+  EXPECT_EQ(cache.stats().cache.misses, 1u);
+}
+
+TEST(StoreAnswers, OneBoundedAnswerPerSlotPerEntry) {
+  store::TieredStore cache(store::TieredStoreConfig{2, "", 4ull << 20});
+  const auto compute = [] { return store::FitOutcome{FitError::kNotMeasured}; };
+  cache.get_or_compute("a", compute);
+  const store::LineDigest first = store::digest_line("id 1");
+  const store::LineDigest second = store::digest_line("id 2");
+  const store::LineDigest other_op = store::digest_line("other op");
+  cache.remember_answer("a", 0, first, "1");
+  cache.remember_answer("a", 1, other_op, "op");
+  cache.remember_answer("a", 0, second, "2");  // replaces slot 0
+  EXPECT_FALSE(cache.find_answer(first).has_value());
+  EXPECT_EQ(cache.find_answer(second).value_or(""), "2");
+  EXPECT_EQ(cache.find_answer(other_op).value_or(""), "op");
+  // An answer over the size bound is not kept (the slot's answer stays).
+  const store::LineDigest huge = store::digest_line("huge grid");
+  cache.remember_answer("a", 0, huge,
+                        std::string(store::TieredStore::kMaxAnswerBytes + 1, 'x'));
+  EXPECT_FALSE(cache.find_answer(huge).has_value());
+  EXPECT_EQ(cache.find_answer(second).value_or(""), "2");
+}
+
+TEST(StoreAnswers, EvictionInvalidateAndClearMemoryDropTheAnswers) {
+  store::TieredStore cache(store::TieredStoreConfig{2, "", 4ull << 20});
+  const auto compute = [] { return store::FitOutcome{FitError::kNotMeasured}; };
+  const auto remember = [&](const std::string& key) {
+    cache.get_or_compute(key, compute);
+    const store::LineDigest d = store::digest_line("line " + key);
+    cache.remember_answer(key, 0, d, "answer " + key);
+    return d;
+  };
+  const store::LineDigest a = remember("a");
+  const store::LineDigest b = remember("b");
+  // A found answer refreshes recency: "a" is now most recent, so "c"
+  // evicts "b" and its answer.
+  EXPECT_TRUE(cache.find_answer(a).has_value());
+  const store::LineDigest c = remember("c");
+  EXPECT_FALSE(cache.find_answer(b).has_value()) << "evicted with its entry";
+  EXPECT_TRUE(cache.find_answer(a).has_value());
+  EXPECT_TRUE(cache.invalidate("a"));
+  EXPECT_FALSE(cache.find_answer(a).has_value()) << "invalidated";
+  EXPECT_TRUE(cache.find_answer(c).has_value());
+  cache.clear_memory();
+  EXPECT_FALSE(cache.find_answer(c).has_value()) << "cleared";
+}
+
+TEST(StoreAnswers, SipHash128MatchesTheReferenceVectors) {
+  // Reference implementation's vectors for SipHash-2-4-128: key 00..0f,
+  // message 00 01 .. (len - 1); output bytes little-endian.
+  const std::uint64_t k0 = 0x0706050403020100ull;
+  const std::uint64_t k1 = 0x0f0e0d0c0b0a0908ull;
+  const store::LineDigest empty = store::siphash24_128("", k0, k1);
+  EXPECT_EQ(empty.lo, 0xe6a825ba047f81a3ull);
+  EXPECT_EQ(empty.hi, 0x930255c71472f66dull);
+  const store::LineDigest one = store::siphash24_128(std::string(1, '\0'), k0, k1);
+  EXPECT_EQ(one.lo, 0x44af996bd8c187daull);
+  EXPECT_EQ(one.hi, 0x45fc229b11597634ull);
+  EXPECT_NE(store::digest_line("a"), store::digest_line("b"));
+  EXPECT_EQ(store::digest_line("a"), store::digest_line("a"));
+}
+
 // ------------------------------------------------------------------ engine
 
 TEST(ServeEngine, PingFitAndExplicitParamsOps) {
@@ -257,6 +331,121 @@ TEST(ServeEngine, CacheHitsSkipTheFit) {
   EXPECT_EQ(fits.load(), 1);
   EXPECT_EQ(engine.fits_performed(), 1u);
   EXPECT_EQ(engine.store_stats().cache.hits, 1u);
+}
+
+/// A one-worker engine whose fits can be held: while one request holds the
+/// only worker, whatever else comes back at once was answered without it.
+class GatedEngine {
+ public:
+  explicit GatedEngine(ServeConfig cfg) : engine(gated(std::move(cfg))) {}
+  /// A failed assertion must not leave the engine's drain waiting forever.
+  ~GatedEngine() { release(); }
+
+  /// Submits `line` and returns once its fit holds the only worker.
+  std::future<std::string> hold_worker(const std::string& line) {
+    {
+      ipso::sync::MutexLock lock(mu_);
+      held_ = true;
+    }
+    const std::size_t fits = engine.fits_performed();
+    std::future<std::string> f = engine.submit(line);
+    EXPECT_TRUE(eventually([&] { return engine.fits_performed() > fits; }));
+    return f;
+  }
+
+  void release() {
+    {
+      ipso::sync::MutexLock lock(mu_);
+      held_ = false;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  ServeConfig gated(ServeConfig cfg) {
+    cfg.threads = 1;
+    cfg.fit_hook = [this] {
+      ipso::sync::MutexLock lock(mu_);
+      cv_.wait(mu_, [this] { return !held_; });
+    };
+    return cfg;
+  }
+
+  ipso::sync::Mutex mu_;
+  ipso::sync::CondVar cv_;
+  bool held_ = false;
+
+ public:
+  ServeEngine engine;
+};
+
+bool ready_now(std::future<std::string>& f) {
+  return f.wait_for(0s) == std::future_status::ready;
+}
+
+TEST(ServeEngine, RepeatedLinesAreAnsweredWithoutTheWorkers) {
+  // Each op and each id keeps its own remembered bytes: with the only
+  // worker held, every repeated line still comes back at once, counted as
+  // received, completed and a DRAM hit.
+  GatedEngine g(ServeConfig{});
+  const auto with_id = [](const std::string& id) {
+    std::string line = fit_request(5, "fit");
+    line.insert(1, "\"id\":\"" + id + "\",");
+    return line;
+  };
+  const std::vector<std::string> lines = {
+      fit_request(5, "fit"), fit_request(5, "predict"),
+      fit_request(5, "classify"), with_id("a"), with_id("b")};
+  std::vector<std::string> first;
+  for (const std::string& line : lines) first.push_back(g.engine.handle(line));
+  EXPECT_NE(first[0], first[1]);
+  EXPECT_NE(first[3].find("\"id\":\"a\""), std::string::npos) << first[3];
+  EXPECT_NE(first[4].find("\"id\":\"b\""), std::string::npos) << first[4];
+  EXPECT_EQ(g.engine.fits_performed(), 1u);
+  EXPECT_EQ(g.engine.store_stats().cache.hits, 4u);
+
+  std::future<std::string> held = g.hold_worker(fit_request(6));
+  // One answer per op: the "b" line, the last fit line, displaced the
+  // other two fit lines from the fit slot.
+  for (std::size_t i : {1, 2, 4}) {
+    std::future<std::string> repeat = g.engine.submit(lines[i]);
+    ASSERT_TRUE(ready_now(repeat)) << lines[i].substr(0, 40);
+    EXPECT_EQ(repeat.get(), first[i]);
+  }
+  std::vector<std::future<std::string>> displaced;
+  for (std::size_t i : {0, 3}) {
+    displaced.push_back(g.engine.submit(lines[i]));
+    EXPECT_FALSE(ready_now(displaced.back())) << "parsed and queued";
+  }
+  g.release();
+  EXPECT_EQ(displaced[0].get(), first[0]);
+  EXPECT_EQ(displaced[1].get(), first[3]);
+  EXPECT_TRUE(is_ok(held.get()));
+  EXPECT_EQ(g.engine.store_stats().cache.hits, 9u);
+  const ServeStats s = g.engine.stats();
+  EXPECT_EQ(s.received, 11u);
+  EXPECT_EQ(s.completed, 11u);
+}
+
+TEST(ServeEngine, RememberedLineStillPassesAdmission) {
+  ServeConfig cfg;
+  cfg.queue_capacity = 1;
+  GatedEngine g(cfg);
+  ASSERT_TRUE(is_ok(g.engine.handle(fit_request(8))));
+  // The only queue slot is taken by a held fit: the remembered line is
+  // refused as overloaded, like any other arrival.
+  std::future<std::string> held = g.hold_worker(fit_request(9));
+  EXPECT_TRUE(has_error(g.engine.handle(fit_request(8)), "overloaded"));
+  g.release();
+  EXPECT_TRUE(is_ok(held.get()));
+  EXPECT_TRUE(is_ok(g.engine.handle(fit_request(8))));
+  g.engine.drain();
+  EXPECT_TRUE(has_error(g.engine.handle(fit_request(8)), "draining"));
+  const ServeStats s = g.engine.stats();
+  EXPECT_EQ(s.overloaded, 1u);
+  EXPECT_EQ(s.rejected_draining, 1u);
+  EXPECT_EQ(g.engine.store_stats().cache.hits, 1u)
+      << "a refused line is not a hit";
 }
 
 TEST(ServeEngine, ConcurrentIdenticalFitsCoalesceToOneFit) {
