@@ -467,6 +467,39 @@ TEST(ServeObserve, InlineCompareMatchesKeyedScoreboard) {
   EXPECT_EQ(engine.fits_performed(), 1u);
 }
 
+TEST(ServeObserve, CompareOpSelectsModelByCurveShape) {
+  // The Zoo.* curves again, now through the request path (parse, dispatch,
+  // serialization) instead of a direct ModelZoo call.
+  models::Observations linear;
+  linear.type = WorkloadType::kFixedSize;
+  for (const double n : {1.0, 2.0, 4.0, 8.0, 16.0}) linear.speedup.add(n, n);
+  const std::vector<std::pair<models::Observations, std::string>> cases{
+      {models::contention_curve(0.05, 0.002), "usl"},
+      {models::eq16_fixed_time_curve(0.95, 0.5, 0.005, 1.3), "ipso"},
+      {linear, "amdahl"},
+  };
+  ServeEngine engine;
+  for (const auto& [obs, winner] : cases) {
+    std::string req = "{\"op\":\"compare\",\"workload\":\"" +
+                      std::string(to_string(obs.type)) + "\"";
+    if (obs.type == WorkloadType::kFixedTime) {
+      req += ",\"eta\":" + trace::json_double(obs.eta);
+    }
+    req += ",\"observations\":[";
+    for (std::size_t i = 0; i < obs.speedup.size(); ++i) {
+      req += i ? ",[" : "[";
+      req += trace::json_double(obs.speedup[i].x) + "," +
+             trace::json_double(obs.speedup[i].y) + "]";
+    }
+    req += "]}";
+    const std::string response = engine.handle(req);
+    EXPECT_TRUE(is_ok(response)) << response;
+    EXPECT_NE(response.find("\"winner\":\"" + winner + "\""),
+              std::string::npos)
+        << "expected " << winner << ": " << response;
+  }
+}
+
 TEST(ServeObserve, AdmissionValidatesObserveAndCompare) {
   ServeEngine engine;
   // Admission-stage violations are rejected before dispatch with the

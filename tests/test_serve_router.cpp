@@ -13,6 +13,7 @@
 #include "serve/router.h"
 #include "serve/server.h"
 #include "stats/random.h"
+#include "trace/json.h"
 
 #include <gtest/gtest.h>
 
@@ -46,6 +47,30 @@ std::string fit_request(int seed, const char* op = "fit") {
     if (!first) os << ",";
     first = false;
     os << "[" << n << "," << (0.4 + 1.05 * n) << "]";
+  }
+  os << "]}";
+  return os.str();
+}
+
+/// A fit request over `points` observations per series whose IN line has a
+/// changepoint at n/2, so the fit runs the segmented changepoint search:
+/// the shape `bench_serve_load --router` drives through the tier.
+std::string knee_fit_request(int seed, int points) {
+  const double t1 = 100.0 + seed;
+  const double knee = 1.0 + points / 2.0;
+  std::ostringstream os;
+  os << "{\"op\":\"fit\",\"workload\":\"fixed-time\",\"eta\":0.99,\"ex\":[";
+  for (int i = 0; i < points; ++i) {
+    const double n = 1.0 + i;
+    os << (i ? ",[" : "[") << n << "," << trace::json_double(t1 / n + 0.5)
+       << "]";
+  }
+  os << "],\"in\":[";
+  for (int i = 0; i < points; ++i) {
+    const double n = 1.0 + i;
+    const double in =
+        n <= knee ? 0.4 + 0.6 * n : 0.4 + 0.6 * knee + 2.5 * (n - knee);
+    os << (i ? ",[" : "[") << n << "," << trace::json_double(in) << "]";
   }
   os << "]}";
   return os.str();
@@ -225,6 +250,8 @@ std::vector<std::string> deterministic_corpus() {
       fit_request(5),
       fit_request(6),
       fit_request(7),
+      knee_fit_request(8, 64),
+      knee_fit_request(8, 64),  // repeat of the long line
   };
 }
 
@@ -282,6 +309,16 @@ TEST(Router, ResponsesByteIdenticalToSingleNodeForEveryPlacement) {
             << "placement=" << placement << " proto=" << to_string(proto)
             << " request=" << corpus[i];
       }
+      // stats is counters, not a function of the request: the router
+      // answers it itself and names its placement.
+      auto stats = client.call("{\"op\":\"stats\"}");
+      ASSERT_TRUE(stats.has_value()) << stats.error().message;
+      EXPECT_NE(stats->find("\"router\":true"), std::string::npos)
+          << "placement=" << placement << " proto=" << to_string(proto);
+      EXPECT_NE(stats->find(std::string("\"placement\":\"") + placement +
+                            "\""),
+                std::string::npos)
+          << "placement=" << placement << " proto=" << to_string(proto);
     }
 
     const RouterStats s = router.stats();

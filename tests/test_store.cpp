@@ -5,6 +5,7 @@
 #include "store/tiered_store.h"
 
 #include "serve/engine.h"
+#include "trace/json.h"
 
 #include <gtest/gtest.h>
 
@@ -654,6 +655,30 @@ std::string engine_fit_request(int seed) {
   return os.str();
 }
 
+/// A fit request over `points` observations per series whose IN line has a
+/// changepoint at n/2: at 4,096 points its store record is 64-131 KiB, the
+/// size `bench_serve_load` persists in its warm-restart phase.
+std::string engine_knee_fit_request(int seed, int points) {
+  const double t1 = 100.0 + seed;
+  const double knee = 1.0 + points / 2.0;
+  std::ostringstream os;
+  os << "{\"op\":\"fit\",\"workload\":\"fixed-time\",\"eta\":0.99,\"ex\":[";
+  for (int i = 0; i < points; ++i) {
+    const double n = 1.0 + i;
+    os << (i ? ",[" : "[") << n << "," << trace::json_double(t1 / n + 0.5)
+       << "]";
+  }
+  os << "],\"in\":[";
+  for (int i = 0; i < points; ++i) {
+    const double n = 1.0 + i;
+    const double in =
+        n <= knee ? 0.4 + 0.6 * n : 0.4 + 0.6 * knee + 2.5 * (n - knee);
+    os << (i ? ",[" : "[") << n << "," << trace::json_double(in) << "]";
+  }
+  os << "]}";
+  return os.str();
+}
+
 TEST(EngineWarmRestart, RestartedEngineServesByteIdenticalWithoutRefit) {
   TempDir dir;
   serve::ServeConfig cfg;
@@ -661,29 +686,33 @@ TEST(EngineWarmRestart, RestartedEngineServesByteIdenticalWithoutRefit) {
   cfg.cache_capacity = 16;
   cfg.store_dir = dir.str();
 
+  std::vector<std::string> corpus;
+  for (int i = 0; i < 6; ++i) corpus.push_back(engine_fit_request(i));
+  corpus.push_back(engine_knee_fit_request(6, 4096));
+
   std::vector<std::string> first_responses;
   {
     serve::ServeEngine engine(cfg);
     ASSERT_TRUE(engine.store_status());
-    for (int i = 0; i < 6; ++i) {
-      first_responses.push_back(engine.handle(engine_fit_request(i)));
+    for (const std::string& req : corpus) {
+      first_responses.push_back(engine.handle(req));
       ASSERT_NE(first_responses.back().find("\"ok\":true"),
                 std::string::npos);
     }
-    EXPECT_EQ(engine.fits_performed(), 6u);
+    EXPECT_EQ(engine.fits_performed(), corpus.size());
     engine.drain();  // the SIGTERM path: flushes the store
   }
 
   serve::ServeEngine restarted(cfg);
   ASSERT_TRUE(restarted.store_status());
-  EXPECT_EQ(restarted.store_stats().disk.records, 6u);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(restarted.handle(engine_fit_request(i)), first_responses[i])
+  EXPECT_EQ(restarted.store_stats().disk.records, corpus.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    EXPECT_EQ(restarted.handle(corpus[i]), first_responses[i])
         << "warm response " << i << " must be byte-identical";
   }
   EXPECT_EQ(restarted.fits_performed(), 0u)
       << "warm restart must serve persisted fits without re-fitting";
-  EXPECT_EQ(restarted.store_stats().tier.disk_hits, 6u);
+  EXPECT_EQ(restarted.store_stats().tier.disk_hits, corpus.size());
 }
 
 TEST(EngineWarmRestart, CorruptedStoreIsSkippedWithCounterNeverACrash) {
@@ -692,11 +721,12 @@ TEST(EngineWarmRestart, CorruptedStoreIsSkippedWithCounterNeverACrash) {
   cfg.threads = 2;
   cfg.cache_capacity = 16;
   cfg.store_dir = dir.str();
+  std::vector<std::string> before;
   {
     serve::ServeEngine engine(cfg);
     for (int i = 0; i < 4; ++i) {
-      ASSERT_NE(engine.handle(engine_fit_request(i)).find("\"ok\":true"),
-                std::string::npos);
+      before.push_back(engine.handle(engine_fit_request(i)));
+      ASSERT_NE(before.back().find("\"ok\":true"), std::string::npos);
     }
   }
   // Flip one payload byte in the first persisted record.
@@ -711,10 +741,11 @@ TEST(EngineWarmRestart, CorruptedStoreIsSkippedWithCounterNeverACrash) {
   serve::ServeEngine restarted(cfg);
   ASSERT_TRUE(restarted.store_status());
   EXPECT_GE(restarted.store_stats().disk.skipped_total(), 1u);
-  // Every request is still answered; the corrupted one just re-fits.
+  // Every request is still answered with the pre-corruption bytes; the
+  // corrupted one just re-fits.
   for (int i = 0; i < 4; ++i) {
-    EXPECT_NE(restarted.handle(engine_fit_request(i)).find("\"ok\":true"),
-              std::string::npos);
+    EXPECT_EQ(restarted.handle(engine_fit_request(i)), before[i])
+        << "response " << i << " after the corrupt restart";
   }
   EXPECT_GE(restarted.fits_performed(), 1u);
   EXPECT_LT(restarted.fits_performed(), 4u);
